@@ -1,17 +1,32 @@
 exception Not_positive_definite of int
 
+(* The Cholesky tile updates [gemm_nt], [syrk_lower] and
+   [trsm_right_lower_trans] index the column-major buffers directly (see
+   {!Mat.data}): with [-opaque], [Mat.unsafe_get] from here is an
+   out-of-line call returning a boxed float, several words of garbage per
+   inner iteration.  The loop order, the operation order inside each update
+   and the [<> 0.] skips are those of the plain [Mat.unsafe_get]
+   formulation, so results are bitwise the same. *)
+
+module A1 = Bigarray.Array1
+
 let gemm_nt ~alpha a b ~beta c =
   let m = Mat.rows a and k = Mat.cols a and n = Mat.rows b in
   assert (Mat.cols b = k);
   assert (Mat.rows c = m && Mat.cols c = n);
   if beta <> 1. then Mat.scale c beta;
+  let ad = Mat.data a and bd = Mat.data b and cd = Mat.data c in
   for j = 0 to n - 1 do
+    let cj = j * m in
     for p = 0 to k - 1 do
-      let bjp = alpha *. Mat.unsafe_get b j p in
-      if bjp <> 0. then
+      let bjp = alpha *. A1.unsafe_get bd (j + (p * n)) in
+      if bjp <> 0. then begin
+        let ap = p * m in
         for i = 0 to m - 1 do
-          Mat.unsafe_set c i j (Mat.unsafe_get c i j +. (Mat.unsafe_get a i p *. bjp))
+          let ci = cj + i in
+          A1.unsafe_set cd ci (A1.unsafe_get cd ci +. (A1.unsafe_get ad (ap + i) *. bjp))
         done
+      end
     done
   done
 
@@ -37,18 +52,23 @@ let gemm ?(transa = false) ?(transb = false) ~alpha a b ~beta c =
 let syrk_lower ~alpha a ~beta c =
   let n = Mat.rows a and k = Mat.cols a in
   assert (Mat.rows c = n && Mat.cols c = n);
+  let ad = Mat.data a and cd = Mat.data c in
   if beta <> 1. then
     for j = 0 to n - 1 do
+      let cj = j * n in
       for i = j to n - 1 do
-        Mat.unsafe_set c i j (beta *. Mat.unsafe_get c i j)
+        A1.unsafe_set cd (cj + i) (beta *. A1.unsafe_get cd (cj + i))
       done
     done;
   for j = 0 to n - 1 do
+    let cj = j * n in
     for p = 0 to k - 1 do
-      let ajp = alpha *. Mat.unsafe_get a j p in
+      let ap = p * n in
+      let ajp = alpha *. A1.unsafe_get ad (ap + j) in
       if ajp <> 0. then
         for i = j to n - 1 do
-          Mat.unsafe_set c i j (Mat.unsafe_get c i j +. (Mat.unsafe_get a i p *. ajp))
+          let ci = cj + i in
+          A1.unsafe_set cd ci (A1.unsafe_get cd ci +. (A1.unsafe_get ad (ap + i) *. ajp))
         done
     done
   done
@@ -56,19 +76,24 @@ let syrk_lower ~alpha a ~beta c =
 let trsm_right_lower_trans ~l b =
   let n = Mat.cols b and m = Mat.rows b in
   assert (Mat.rows l = n && Mat.cols l = n);
+  let ld = Mat.data l and bd = Mat.data b in
   (* Solve X·Lᵀ = B column block by column block:
      X(:,j) = (B(:,j) − Σ_{p<j} X(:,p)·L(j,p)) / L(j,j). *)
   for j = 0 to n - 1 do
+    let bj = j * m in
     for p = 0 to j - 1 do
-      let ljp = Mat.unsafe_get l j p in
-      if ljp <> 0. then
+      let ljp = A1.unsafe_get ld (j + (p * n)) in
+      if ljp <> 0. then begin
+        let bp = p * m in
         for i = 0 to m - 1 do
-          Mat.unsafe_set b i j (Mat.unsafe_get b i j -. (Mat.unsafe_get b i p *. ljp))
+          let bi = bj + i in
+          A1.unsafe_set bd bi (A1.unsafe_get bd bi -. (A1.unsafe_get bd (bp + i) *. ljp))
         done
+      end
     done;
-    let d = Mat.unsafe_get l j j in
+    let d = A1.unsafe_get ld (j + (j * n)) in
     for i = 0 to m - 1 do
-      Mat.unsafe_set b i j (Mat.unsafe_get b i j /. d)
+      A1.unsafe_set bd (bj + i) (A1.unsafe_get bd (bj + i) /. d)
     done
   done
 

@@ -3,6 +3,44 @@ module Rng = Geomix_util.Rng
 
 type fidelity = Per_op | Boundary
 
+(* Boundary kernels round their operands into scratch tiles recycled
+   through one free list keyed by shape, instead of a fresh copy per call.
+   The list is shared under a mutex rather than kept per domain: pool tasks
+   run on several systhreads of one domain, so a per-domain tile could be
+   handed to two running kernels at once.  At most [scratch_keep] tiles per
+   shape are kept; a tile lost to an exception is simply collected. *)
+let scratch_lock = Mutex.create ()
+let scratch : (int * int, Mat.t list) Hashtbl.t = Hashtbl.create 8
+let scratch_keep = 8
+
+(* [rounded_scratch s m] is a scratch tile holding [Mat.rounded s m]; hand
+   it back with [release]. *)
+let rounded_scratch s m =
+  let key = (Mat.rows m, Mat.cols m) in
+  let recycled =
+    Mutex.protect scratch_lock (fun () ->
+      match Hashtbl.find_opt scratch key with
+      | Some (t :: rest) ->
+        Hashtbl.replace scratch key rest;
+        Some t
+      | _ -> None)
+  in
+  let t =
+    match recycled with
+    | Some t ->
+      Mat.blit ~src:m ~dst:t;
+      t
+    | None -> Mat.copy m
+  in
+  Mat.round_inplace s t;
+  t
+
+let release t =
+  let key = (Mat.rows t, Mat.cols t) in
+  Mutex.protect scratch_lock (fun () ->
+    let free = Option.value ~default:[] (Hashtbl.find_opt scratch key) in
+    if List.length free < scratch_keep then Hashtbl.replace scratch key (t :: free))
+
 let gemm_nt_per_op ~prec ~alpha a b ~beta c =
   let si = Fpformat.input_scalar prec and sa = Fpformat.accum_scalar prec in
   let r = Fpformat.round sa in
@@ -23,8 +61,10 @@ let gemm_nt_per_op ~prec ~alpha a b ~beta c =
 
 let gemm_nt_boundary ~prec ~alpha a b ~beta c =
   let si = Fpformat.input_scalar prec and sa = Fpformat.accum_scalar prec in
-  let ar = Mat.rounded si a and br = Mat.rounded si b in
+  let ar = rounded_scratch si a and br = rounded_scratch si b in
   Blas.gemm_nt ~alpha ar br ~beta c;
+  release ar;
+  release br;
   Mat.round_inplace sa c
 
 let gemm_nt ~fidelity ~prec ~alpha a b ~beta c =
@@ -55,8 +95,9 @@ let syrk_lower ~fidelity ~prec ~alpha a ~beta c =
   | Per_op, _ -> syrk_lower_per_op ~prec ~alpha a ~beta c
   | Boundary, _ ->
     let si = Fpformat.input_scalar prec and sa = Fpformat.accum_scalar prec in
-    let ar = Mat.rounded si a in
+    let ar = rounded_scratch si a in
     Blas.syrk_lower ~alpha ar ~beta c;
+    release ar;
     Mat.round_inplace sa c
 
 let trsm_per_op ~prec ~l b =
@@ -87,9 +128,10 @@ let trsm_right_lower_trans ~fidelity ~prec ~l b =
     trsm_per_op ~prec ~l b
   | Boundary, _ ->
     let sa = Fpformat.accum_scalar prec in
-    let lr = Mat.rounded sa l in
+    let lr = rounded_scratch sa l in
     Mat.round_inplace sa b;
     Blas.trsm_right_lower_trans ~l:lr b;
+    release lr;
     Mat.round_inplace sa b
 
 let potrf_per_op ~prec a =

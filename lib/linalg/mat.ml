@@ -12,6 +12,7 @@ let create ~rows ~cols =
 
 let rows t = t.rows
 let cols t = t.cols
+let data t = t.data
 
 (* Column-major: entry (i, j) lives at i + j·rows. *)
 let idx t i j = i + (j * t.rows)
@@ -57,23 +58,17 @@ let to_arrays t = Array.init t.rows (fun i -> Array.init t.cols (fun j -> get t 
 
 let identity n = init ~rows:n ~cols:n (fun i j -> if i = j then 1. else 0.)
 
-let map_inplace f t =
-  let n = Bigarray.Array1.dim t.data in
-  for k = 0 to n - 1 do
-    Bigarray.Array1.unsafe_set t.data k (f (Bigarray.Array1.unsafe_get t.data k))
-  done
-
-let round_inplace scalar t =
-  match scalar with
-  | Fpformat.S_fp64 -> ()
-  | _ -> map_inplace (Fpformat.round scalar) t
+let round_inplace scalar t = Fpformat.round_inplace scalar t.data
 
 let rounded scalar t =
   let t' = copy t in
   round_inplace scalar t';
   t'
 
-let scale t alpha = map_inplace (fun x -> alpha *. x) t
+let scale t alpha =
+  for k = 0 to Bigarray.Array1.dim t.data - 1 do
+    Bigarray.Array1.unsafe_set t.data k (alpha *. Bigarray.Array1.unsafe_get t.data k)
+  done
 
 let add_scaled acc ~alpha x =
   assert (acc.rows = x.rows && acc.cols = x.cols);

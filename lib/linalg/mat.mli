@@ -7,6 +7,8 @@
 
 type t
 
+type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
 val create : rows:int -> cols:int -> t
 (** Zero-initialised matrix. *)
 
@@ -15,6 +17,13 @@ val init : rows:int -> cols:int -> (int -> int -> float) -> t
 
 val rows : t -> int
 val cols : t -> int
+
+val data : t -> buf
+(** The backing store, column-major: entry (i, j) is at [i + j·rows].  Hot
+    loops index it directly: the dev profile compiles with [-opaque], so a
+    call to {!unsafe_get} from another module is an out-of-line call that
+    boxes its float result, while [Bigarray.Array1.unsafe_get] on a [buf]
+    compiles to an unboxed load. *)
 
 val get : t -> int -> int -> float
 val set : t -> int -> int -> float -> unit
@@ -33,7 +42,6 @@ val to_arrays : t -> float array array
 
 val identity : int -> t
 
-val map_inplace : (float -> float) -> t -> unit
 val round_inplace : Geomix_precision.Fpformat.scalar -> t -> unit
 (** Round every entry to the given scalar format (a datatype conversion). *)
 

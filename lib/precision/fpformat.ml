@@ -2,73 +2,84 @@ type scalar = S_fp64 | S_fp32 | S_tf32 | S_bf16 | S_fp16 | S_fp8_e4m3 | S_fp8_e5
 
 let all_scalars = [ S_fp64; S_fp32; S_tf32; S_bf16; S_fp16; S_fp8_e4m3; S_fp8_e5m2 ]
 
-type spec = { mant : int; emin : int; emax : int }
+type spec = { mant : int; emin : int; emax : int; max_value : float; saturate : bool }
 (* [mant] is the number of explicitly stored significand bits; representable
-   normal values are ±(1.m)·2^e with emin ≤ e ≤ emax, subnormals below. *)
+   normal values are ±(1.m)·2^e with emin ≤ e ≤ emax, subnormals below.
+   [max_value] is the largest finite magnitude and [saturate] says whether
+   finite overflow clamps to it instead of producing an infinity. *)
+
+let make_spec ?(saturate = false) mant emin emax =
+  let max_value = Float.ldexp (2. -. Float.ldexp 1. (-mant)) emax in
+  { mant; emin; emax; max_value; saturate }
+
+(* Built once, so [spec_of] never allocates.  The FP8 formats saturate on
+   finite overflow (OCP spec / saturating casts).  OCP FP8 E4M3 reserves
+   the all-ones pattern (S.1111.111) for NaN, so its largest finite
+   magnitude is 1.110·2^8 = 448, not the generic (2 − 2^-3)·2^8 = 480. *)
+let spec_fp64 = make_spec 52 (-1022) 1023
+let spec_fp32 = make_spec 23 (-126) 127
+let spec_tf32 = make_spec 10 (-126) 127
+let spec_bf16 = make_spec 7 (-126) 127
+let spec_fp16 = make_spec 10 (-14) 15
+let spec_fp8_e4m3 = { (make_spec ~saturate:true 3 (-6) 8) with max_value = 448. }
+let spec_fp8_e5m2 = make_spec ~saturate:true 2 (-14) 15
 
 let spec_of = function
-  | S_fp64 -> { mant = 52; emin = -1022; emax = 1023 }
-  | S_fp32 -> { mant = 23; emin = -126; emax = 127 }
-  | S_tf32 -> { mant = 10; emin = -126; emax = 127 }
-  | S_bf16 -> { mant = 7; emin = -126; emax = 127 }
-  | S_fp16 -> { mant = 10; emin = -14; emax = 15 }
-  | S_fp8_e4m3 -> { mant = 3; emin = -6; emax = 8 }
-  | S_fp8_e5m2 -> { mant = 2; emin = -14; emax = 15 }
+  | S_fp64 -> spec_fp64
+  | S_fp32 -> spec_fp32
+  | S_tf32 -> spec_tf32
+  | S_bf16 -> spec_bf16
+  | S_fp16 -> spec_fp16
+  | S_fp8_e4m3 -> spec_fp8_e4m3
+  | S_fp8_e5m2 -> spec_fp8_e5m2
 
-(* Round to nearest integer, ties to even.  [Float.round] rounds ties away
-   from zero, so ties are detected and nudged back to the even neighbour. *)
-let round_half_even x =
-  let f = Float.round x in
-  if Float.abs (x -. Float.trunc x) = 0.5 then
-    if Float.rem f 2. <> 0. then f -. Float.copy_sign 1. x else f
-  else f
+let scalar_max_value s = (spec_of s).max_value
 
-let scalar_max_value = function
-  (* OCP FP8 E4M3 reserves the all-ones pattern (S.1111.111) for NaN, so
-     the largest finite magnitude is 1.110·2^8 = 448, not the generic
-     (2 − 2^-3)·2^8 = 480. *)
-  | S_fp8_e4m3 -> 448.
-  | s ->
-    let { mant; emax; _ } = spec_of s in
-    Float.ldexp (2. -. Float.ldexp 1. (-mant)) emax
-
-(* The FP8 formats saturate on finite overflow (OCP spec / saturating
-   casts): anything rounding past the largest finite value clamps to it
-   instead of producing an infinity E4M3 doesn't even have. *)
-let saturating = function S_fp8_e4m3 | S_fp8_e5m2 -> true | _ -> false
-
-let round s x =
-  match s with
-  | S_fp64 -> x
-  | _ ->
-    if x = 0. || not (Float.is_finite x) then x
-    else begin
-      let { mant; emin; emax } = spec_of s in
-      let overflow () =
-        if saturating s then Float.copy_sign (scalar_max_value s) x
-        else Float.copy_sign infinity x
-      in
-      let _, e = Float.frexp x in
-      (* x = m·2^e with |m| ∈ [0.5, 1); unbiased exponent is e-1 *)
-      let eu = e - 1 in
-      if eu > emax then overflow ()
+(* The rounding core, for every format with at most 51 stored significand
+   bits (everything but FP64).  The quantum of |x| in the target format is
+   q = 2^(max(e, emin) − mant), where e is the binary64 exponent of x.  With
+   C = 2^52·q, |x| + C lies in [2^52·q, 2^53·q), where binary64's spacing is
+   exactly q, so the hardware addition rounds |x| to a multiple of q with
+   ties to even (C/q = 2^52 is even), and subtracting C again is exact.
+   That covers the normal grid, the subnormal grid and underflow to zero;
+   the sign is put back at the end, so zeros keep theirs.  NaN and ±inf
+   come back unchanged.  It is inlined into both callers below and uses
+   only primitives and unboxed no-alloc externals, so it allocates
+   nothing. *)
+let[@inline] round_spec sp x =
+  let hi = Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float x) 52) in
+  let biased = hi land 0x7FF in
+  if biased = 0x7FF then x
+  else begin
+    let e = biased - 1023 in
+    let r =
+      if e > sp.emax then infinity
       else begin
-        let p = mant + 1 in
-        let p = if eu < emin then p - (emin - eu) else p in
-        if p <= 0 then begin
-          (* Below the subnormal grid: round to 0 or the smallest subnormal. *)
-          let tiny = Float.ldexp 1. (emin - mant) in
-          if Float.abs x > tiny /. 2. then Float.copy_sign tiny x
-          else Float.copy_sign 0. x
-        end
-        else begin
-          let shift = p - e in
-          let scaled = Float.ldexp x shift in
-          let y = Float.ldexp (round_half_even scaled) (-shift) in
-          if Float.abs y > scalar_max_value s then overflow () else y
-        end
+        let eq = (if e < sp.emin then sp.emin else e) - sp.mant in
+        let c =
+          Int64.float_of_bits (Int64.shift_left (Int64.of_int (eq + 52 + 1023)) 52)
+        in
+        (Float.abs x +. c) -. c
       end
-    end
+    in
+    let r =
+      if r <= sp.max_value then r else if sp.saturate then sp.max_value else infinity
+    in
+    if hi > 0x7FF then -.r else r
+  end
+
+let round s x = match s with S_fp64 -> x | _ -> round_spec (spec_of s) x
+
+(* The annotation lets the compiler specialise the bigarray accesses. *)
+let round_inplace s
+    (buf : (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t) =
+  match s with
+  | S_fp64 -> ()
+  | _ ->
+    let sp = spec_of s in
+    for k = 0 to Bigarray.Array1.dim buf - 1 do
+      Bigarray.Array1.unsafe_set buf k (round_spec sp (Bigarray.Array1.unsafe_get buf k))
+    done
 
 let scalar_bytes = function
   | S_fp64 -> 8

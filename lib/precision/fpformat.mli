@@ -34,6 +34,11 @@ val round : scalar -> float -> float
     and infinities pass through; [round S_fp64] is the identity on finite
     floats. *)
 
+val round_inplace :
+  scalar -> (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t -> unit
+(** [round_inplace s buf] replaces every element [x] of [buf] by [round s x]
+    (bitwise the same rounding) without allocating. *)
+
 val scalar_bytes : scalar -> int
 (** Storage/transfer footprint per element (TF32 occupies 4 bytes). *)
 

@@ -349,6 +349,201 @@ let prop_sign_preserved =
       let y = Fp.round s x in
       y = 0. || Float.sign_bit y = Float.sign_bit x)
 
+(* --- Rounding oracle ----------------------------------------------------- *)
+
+(* The reference: rounding written straight from the definition through
+   frexp/ldexp, as [Fp.round] did before its allocation-free core.  Slow,
+   but every step is a textbook one.  [Fp.round] must match it bitwise. *)
+let oracle_spec = function
+  (* (stored significand bits, emin, emax) *)
+  | Fp.S_fp64 -> (52, -1022, 1023)
+  | Fp.S_fp32 -> (23, -126, 127)
+  | Fp.S_tf32 -> (10, -126, 127)
+  | Fp.S_bf16 -> (7, -126, 127)
+  | Fp.S_fp16 -> (10, -14, 15)
+  | Fp.S_fp8_e4m3 -> (3, -6, 8)
+  | Fp.S_fp8_e5m2 -> (2, -14, 15)
+
+let oracle_max s =
+  match s with
+  | Fp.S_fp8_e4m3 -> 448.
+  | _ ->
+    let mant, _, emax = oracle_spec s in
+    Float.ldexp (2. -. Float.ldexp 1. (-mant)) emax
+
+let oracle_saturating = function Fp.S_fp8_e4m3 | Fp.S_fp8_e5m2 -> true | _ -> false
+
+(* Round to nearest integer, ties to even: [Float.round] rounds ties away
+   from zero, so ties are nudged back to the even neighbour. *)
+let round_half_even x =
+  let f = Float.round x in
+  if Float.abs (x -. Float.trunc x) = 0.5 then
+    if Float.rem f 2. <> 0. then f -. Float.copy_sign 1. x else f
+  else f
+
+let oracle_round s x =
+  match s with
+  | Fp.S_fp64 -> x
+  | _ ->
+    if x = 0. || not (Float.is_finite x) then x
+    else begin
+      let mant, emin, emax = oracle_spec s in
+      let overflow () =
+        if oracle_saturating s then Float.copy_sign (oracle_max s) x
+        else Float.copy_sign infinity x
+      in
+      let _, e = Float.frexp x in
+      (* x = m·2^e with |m| ∈ [0.5, 1); the unbiased exponent is e − 1. *)
+      let eu = e - 1 in
+      if eu > emax then overflow ()
+      else begin
+        let p = mant + 1 in
+        let p = if eu < emin then p - (emin - eu) else p in
+        if p <= 0 then begin
+          (* Below the subnormal grid: 0 or the smallest subnormal. *)
+          let tiny = Float.ldexp 1. (emin - mant) in
+          if Float.abs x > tiny /. 2. then Float.copy_sign tiny x else Float.copy_sign 0. x
+        end
+        else begin
+          let shift = p - e in
+          let y = Float.ldexp (round_half_even (Float.ldexp x shift)) (-shift) in
+          if Float.abs y > oracle_max s then overflow () else y
+        end
+      end
+    end
+
+let bits = Int64.bits_of_float
+
+(* Every input in [xs] and its negation, compared bitwise; reports the first
+   mismatch and how many there were. *)
+let check_against_oracle s xs =
+  let bad = ref 0 and first = ref None and total = ref 0 in
+  let one x =
+    incr total;
+    let ours = Fp.round s x and want = oracle_round s x in
+    if not (Int64.equal (bits ours) (bits want)) then begin
+      incr bad;
+      if !first = None then first := Some (x, ours, want)
+    end
+  in
+  List.iter (fun x -> one x; one (-.x)) xs;
+  match !first with
+  | None -> ()
+  | Some (x, ours, want) ->
+    Alcotest.failf "%s: %d of %d inputs differ; first %h: got %h, want %h"
+      (Fp.scalar_name s) !bad !total x ours want
+
+(* Every non-negative finite value of [s] in increasing order, followed by
+   the first grid point past the largest (the overflow side). *)
+let grid s =
+  let mant, emin, _ = oracle_spec s in
+  let maxv = oracle_max s in
+  let rec go v acc =
+    let _, e = Float.frexp v in
+    let eu = if v = 0. then emin else Int.max (e - 1) emin in
+    let next = v +. Float.ldexp 1. (eu - mant) in
+    if v >= maxv then List.rev (next :: v :: acc) else go next (v :: acc)
+  in
+  go 0. []
+
+let with_neighbours x acc = Float.pred x :: x :: Float.succ x :: acc
+
+(* Each grid value, each midpoint between neighbours, and the doubles one
+   ulp either side of both. *)
+let grid_probes s =
+  let rec go acc = function
+    | a :: (b :: _ as rest) ->
+      go (with_neighbours a (with_neighbours ((a +. b) /. 2.) acc)) rest
+    | [ last ] -> with_neighbours last acc
+    | [] -> acc
+  in
+  go [] (grid s)
+
+let test_oracle_exhaustive () =
+  List.iter
+    (fun s ->
+      let probes = grid_probes s in
+      (* Sanity: the enumeration really is exhaustive for the FP8 formats. *)
+      (match s with
+       | Fp.S_fp8_e4m3 | Fp.S_fp8_e5m2 ->
+         let finite = List.length (grid s) - 1 in
+         let want = if s = Fp.S_fp8_e4m3 then 127 else 124 in
+         Alcotest.(check int) (Fp.scalar_name s ^ " grid size") want finite
+       | _ -> ());
+      check_against_oracle s probes)
+    [ Fp.S_fp8_e4m3; Fp.S_fp8_e5m2; Fp.S_fp16; Fp.S_bf16 ]
+
+(* FP32 and TF32 are too large to enumerate: sweep every binade from below
+   the subnormals to past overflow, at grid points, midpoints and their ulp
+   neighbours for a spread of significands. *)
+let test_oracle_binade_sweep () =
+  let rng = Random.State.make [| 12 |] in
+  List.iter
+    (fun s ->
+      let mant, emin, emax = oracle_spec s in
+      let steps = 1 lsl mant in
+      let xs = ref [] in
+      for e = emin - mant - 3 to emax + 2 do
+        let ks =
+          [ 0; 1; 2; 3; steps / 2; steps - 2; steps - 1 ]
+          @ List.init 8 (fun _ -> Random.State.int rng steps)
+        in
+        List.iter
+          (fun k ->
+            let g = Float.ldexp (1. +. (float_of_int k /. float_of_int steps)) e in
+            let mid = g +. Float.ldexp 1. (e - mant - 1) in
+            xs := with_neighbours g (with_neighbours mid !xs))
+          ks
+      done;
+      check_against_oracle s !xs)
+    [ Fp.S_fp32; Fp.S_tf32 ]
+
+let test_oracle_special_inputs () =
+  let fp64_subnormals =
+    [ Float.ldexp 1. (-1074); Float.ldexp 3. (-1074); Float.pred Float.min_float; Float.min_float ]
+  in
+  List.iter
+    (fun s ->
+      let maxv = Fp.scalar_max_value s in
+      Alcotest.(check (float 0.)) (Fp.scalar_name s ^ " max value") (oracle_max s) maxv;
+      check_against_oracle s
+        ([ 0.; infinity; nan; maxv; Float.succ maxv; Float.max_float ] @ fp64_subnormals);
+      (* NaN passes through bit for bit, zeros keep their sign. *)
+      Alcotest.(check bool) "nan" true (Float.is_nan (Fp.round s nan));
+      Alcotest.(check bool) "-0 stays -0" true (Int64.equal (bits (-0.)) (bits (Fp.round s (-0.))));
+      if s <> Fp.S_fp64 then begin
+        (* The next grid point past the largest value overflows: FP8
+           saturates, everything else goes to ±inf. *)
+        let mant, _, emax = oracle_spec s in
+        let past = maxv +. Float.ldexp 1. (emax - mant) in
+        let want = if oracle_saturating s then maxv else infinity in
+        Alcotest.(check (float 0.)) (Fp.scalar_name s ^ " overflow") want (Fp.round s past);
+        Alcotest.(check (float 0.)) (Fp.scalar_name s ^ " -overflow") (-.want) (Fp.round s (-.past));
+        check_against_oracle s [ past; Float.pred past; Float.succ past ]
+      end)
+    Fp.all_scalars
+
+let prop_oracle_any_double =
+  (* Uniform over bit patterns: every exponent, subnormals, inf and NaN. *)
+  QCheck.Test.make ~name:"round = oracle on random bit patterns" ~count:20000
+    (QCheck.pair (QCheck.oneofl Fp.all_scalars) QCheck.int64)
+    (fun (s, b) ->
+      let x = Int64.float_of_bits b in
+      Int64.equal (bits (Fp.round s x)) (bits (oracle_round s x)))
+
+let prop_oracle_fp32_tf32 =
+  QCheck.Test.make ~name:"FP32/TF32 round = oracle" ~count:20000
+    (QCheck.pair
+       (QCheck.oneofl [ Fp.S_fp32; Fp.S_tf32 ])
+       (QCheck.oneof
+          [
+            QCheck.float_range (-1e38) 1e38;
+            QCheck.float_range (-1.) 1.;
+            QCheck.float_range (-1e-37) 1e-37;
+            QCheck.float_range 1e37 4e38;
+          ]))
+    (fun (s, x) -> Int64.equal (bits (Fp.round s x)) (bits (oracle_round s x)))
+
 let () =
   Alcotest.run "fpformat"
     [
@@ -393,4 +588,12 @@ let () =
             prop_fp8_round_idempotent; prop_fp8_round_monotone;
             prop_fp8_respects_partial_order; prop_fp8_codec_matches_round;
           ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "FP8/FP16/BF16 exhaustive" `Quick test_oracle_exhaustive;
+          Alcotest.test_case "FP32/TF32 binade sweep" `Quick test_oracle_binade_sweep;
+          Alcotest.test_case "special inputs" `Quick test_oracle_special_inputs;
+          QCheck_alcotest.to_alcotest prop_oracle_any_double;
+          QCheck_alcotest.to_alcotest prop_oracle_fp32_tf32;
+        ] );
     ]
