@@ -3,9 +3,8 @@
     A tracker records, per lower-triangle tile, the distribution of the
     values the tile actually holds during a pilot factorization — minimum
     and maximum nonzero magnitude, a histogram over unbiased binary
-    exponents, zero and non-finite counts — via the [?observe] hooks of
-    {!Geomix_core.Mp_cholesky.factorize} and
-    {!Geomix_runtime.Dtd.execute}.  The mirror of the [scale_tracker] /
+    exponents, zero and non-finite counts — via the [?observe] hook of
+    {!Geomix_core.Mp_cholesky.factorize}.  The mirror of the [scale_tracker] /
     instrumented-type pass of the mixed-precision-SDK pipeline
     (SNIPPETS.md #3): observation is read-only and the pilot run's tiles
     stay bit-identical.

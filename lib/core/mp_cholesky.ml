@@ -13,7 +13,6 @@ module Metrics = Geomix_obs.Metrics
 module Events = Geomix_obs.Events
 module Span = Geomix_obs.Span
 module Guard = Geomix_integrity.Guard
-module Store = Geomix_ooc.Store
 
 type strategy = Automatic | Always_ttc
 
@@ -28,9 +27,12 @@ let default_options =
 
 let pidx i j = (i * (i + 1) / 2) + j
 
-let factorize ?(options = default_options) ?pool ?trace ?bus ?profile ?faults
-    ?retry ?obs ?span ?integrity ?cmap ?store ?observe ?(fault_round = 1) ?job
-    ~pmap a =
+(* One factorization attempt.  [fault_round] feeds the attempt slot of the
+   pivot and SDC fault decisions, so each {!factorize_robust} round redraws
+   independently; a plain {!factorize} is round 1. *)
+let factorize_round ?(options = default_options) ?pool ?trace ?bus ?profile
+    ?faults ?retry ?obs ?span ?integrity ?cmap ?observe ?job ~fault_round ~pmap
+    a =
   let ntiles = Tiled.nt a in
   if Precision_map.nt pmap <> ntiles then
     invalid_arg "Mp_cholesky.factorize: precision map / matrix tile mismatch";
@@ -440,43 +442,10 @@ let factorize ?(options = default_options) ?pool ?trace ?bus ?profile ?faults
       | Some g -> Guard.stamp g ~key:(stored_key i j) (Tiled.tile a i j));
       note_restore saved
   in
-  (* Out-of-core mirror mode: the store owns residency of every stored
-     tile.  Each task's acquire hook pins its declared footprint —
-     loading evicted records back through the checksum-verified fault
-     seam — and re-points the tiled matrix at the store's resident
-     images; release unpins, marking the written tile dirty so its next
-     eviction respills the new values.  Broadcast (shipped) forms stay in
-     memory: they are immutable once published, so a stale alias of an
-     evicted-and-reloaded stored tile carries bit-identical values and
-     the factor is bitwise the same as an in-core run. *)
-  let footprint kind =
-    let w = Task.write_tile kind in
-    w :: List.filter (fun c -> c <> w) (Task.read_tiles kind)
-  in
-  let store_acquire, store_release =
-    match store with
-    | None -> (None, None)
-    | Some st ->
-      Tiled.iter_lower a (fun ~i ~j m -> Store.put st (stored_key i j) m);
-      let acquire id =
-        List.iter
-          (fun (i, j) -> Tiled.set_tile a i j (Store.acquire st (stored_key i j)))
-          (footprint (Cholesky_dag.kind_of dag id))
-      in
-      let release id =
-        let kind = Cholesky_dag.kind_of dag id in
-        let w = Task.write_tile kind in
-        List.iter
-          (fun (i, j) -> Store.release st ~dirty:((i, j) = w) (stored_key i j))
-          (footprint kind)
-      in
-      (Some acquire, Some release)
-  in
   let run pool =
     Dag_exec.run ?obs:dag_obs
       ~task_name:(fun id -> Task.name (Cholesky_dag.kind_of dag id))
-      ?faults ?retry ~capture ?on_retry:note_retry ?acquire:store_acquire
-      ?release:store_release ?job ~pool
+      ?faults ?retry ~capture ?on_retry:note_retry ?job ~pool
       ~num_tasks:(Cholesky_dag.num_tasks dag)
       ~in_degree:(Cholesky_dag.in_degree dag)
       ~successors:(Cholesky_dag.successors dag)
@@ -485,17 +454,6 @@ let factorize ?(options = default_options) ?pool ?trace ?bus ?profile ?faults
   (match pool with
   | Some pool -> run pool
   | None -> Pool.with_pool ~num_workers:0 run);
-  (* Materialize every stored tile back into the tiled matrix (pinned, so
-     the terminal sweep and the upper-triangle scrub below operate on the
-     store's current resident images, not stale pre-eviction aliases). *)
-  (match store with
-  | None -> ()
-  | Some st ->
-    for i = 0 to ntiles - 1 do
-      for j = 0 to i do
-        Tiled.set_tile a i j (Store.acquire st (stored_key i j))
-      done
-    done);
   (* Terminal ABFT sweep: every stored tile of the factor, and every
      broadcast payload still in flight, re-verified before the result is
      handed back — a corruption whose consumer never ran (a payload with no
@@ -516,18 +474,12 @@ let factorize ?(options = default_options) ?pool ?trace ?bus ?profile ?faults
      matrix now represents the factor L alone. *)
   for k = 0 to ntiles - 1 do
     Mat.zero_upper (Tiled.tile a k k)
-  done;
-  (* Unpin the materialized factor.  Diagonal tiles release dirty — the
-     scrub above changed their bytes — so a later flush/checkpoint spills
-     the factor as the caller now sees it. *)
-  match store with
-  | None -> ()
-  | Some st ->
-    for i = 0 to ntiles - 1 do
-      for j = 0 to i do
-        Store.release st ~dirty:(i = j) (stored_key i j)
-      done
-    done
+  done
+
+let factorize ?options ?pool ?trace ?bus ?profile ?faults ?retry ?obs ?span
+    ?integrity ?cmap ?observe ?job ~pmap a =
+  factorize_round ?options ?pool ?trace ?bus ?profile ?faults ?retry ?obs ?span
+    ?integrity ?cmap ?observe ?job ~fault_round:1 ~pmap a
 
 (* Precision-escalation recovery. *)
 
@@ -546,7 +498,7 @@ let restore_tiles ~from a =
   Tiled.iter_lower from (fun ~i ~j m -> Mat.blit ~src:m ~dst:(Tiled.tile a i j))
 
 let factorize_robust ?options ?pool ?trace ?bus ?profile ?faults ?retry ?obs
-    ?span ?integrity ?cmap ?store ?(max_band_escalations = 4) ?job ~pmap a =
+    ?span ?integrity ?cmap ?(max_band_escalations = 4) ?job ~pmap a =
   let note_band, note_full, note_indefinite =
     match obs with
     | None -> (ignore, ignore, ignore)
@@ -570,8 +522,8 @@ let factorize_robust ?options ?pool ?trace ?bus ?profile ?faults ?retry ?obs
        must re-derive their transfers. *)
     let cmap = if round = 1 then cmap else None in
     match
-      factorize ?options ?pool ?trace ?bus ?profile ?faults ?retry ?obs ?span
-        ?integrity ?cmap ?store ~fault_round:round ?job ~pmap a
+      factorize_round ?options ?pool ?trace ?bus ?profile ?faults ?retry ?obs
+        ?span ?integrity ?cmap ?job ~fault_round:round ~pmap a
     with
     | () -> { outcome = Factorized; escalations = List.rev events; rounds = round; pmap }
     | exception exn -> (

@@ -41,9 +41,7 @@ val factorize :
   ?span:Geomix_obs.Span.t ->
   ?integrity:Geomix_integrity.Guard.t ->
   ?cmap:Comm_map.t ->
-  ?store:Geomix_ooc.Store.t ->
   ?observe:(i:int -> j:int -> Geomix_linalg.Mat.t -> unit) ->
-  ?fault_round:int ->
   ?job:Geomix_parallel.Pool.job ->
   pmap:Precision_map.t ->
   Tiled.t ->
@@ -60,19 +58,8 @@ val factorize :
     strategy models communication rounding; must have the matrix's tile
     count.
 
-    [?store] runs the factorization {e out of core} over a
-    {!Geomix_ooc.Store}: every stored tile of the matrix is adopted into
-    the store up front, each task's declared footprint is pinned resident
-    for the duration of its supervision envelope (acquired before the
-    first attempt's snapshot, released — written tile dirty — after the
-    last, also on failure), and tiles past the store's residency budget
-    are spilled to disk in their narrowest lossless format and reloaded
-    through the checksum-verified fault seam on next use.  Broadcast
-    payloads stay in memory (they are immutable once published), so the
-    factor is {e bitwise identical} to an in-core run under any budget.
-    On return the tiled matrix holds the store's resident images of the
-    factor, and the store's keys are the packed lower-tile indices
-    [i·(i+1)/2 + j].
+    Out-of-core factorization is {!Ooc_cholesky}'s job; this driver is
+    in-core only.
 
     [?job] scopes the execution to a {!Geomix_parallel.Pool.job}, so
     concurrent factorizations sharing one pool neither await nor observe
@@ -139,8 +126,8 @@ val factorize :
     touching its tile, emulating the precision-induced loss of positive
     definiteness the escalation fallback exists for.  Blocks whose band is
     already entirely FP64 never fire — an escalated re-run genuinely cures
-    the injection.  [?fault_round] (default 1) feeds the pivot decision's
-    attempt slot so each {!factorize_robust} round redraws independently.
+    the injection.  Each {!factorize_robust} round redraws the pivot
+    decision independently (the round number feeds its attempt slot).
 
     {b ABFT tile integrity.}  [?integrity] guards every producer/consumer
     boundary of the factorization with per-tile checksums
@@ -171,7 +158,7 @@ val factorize :
 
     When [?faults] lists {!Geomix_fault.Fault.Sdc}, each task additionally
     draws a seeded silent corruption ({!Geomix_fault.Fault.sdc_decide},
-    keyed like pivot injection by [?fault_round]): POTRF/TRSM corrupt the
+    keyed like pivot injection by the round): POTRF/TRSM corrupt the
     broadcast payload they just published (a fresh corrupted copy replaces
     the slot — a transit corruption, never damage to the stored factor),
     SYRK/GEMM flip a bit of their accumulator tile in memory.  Injection
@@ -226,7 +213,6 @@ val factorize_robust :
   ?span:Geomix_obs.Span.t ->
   ?integrity:Geomix_integrity.Guard.t ->
   ?cmap:Comm_map.t ->
-  ?store:Geomix_ooc.Store.t ->
   ?max_band_escalations:int ->
   ?job:Geomix_parallel.Pool.job ->
   pmap:Precision_map.t ->

@@ -12,7 +12,7 @@
     caller provides a [restore] thunk capturing the task's written
     footprint before the first attempt; {!run} invokes it before every
     re-execution, which is what makes crash-after-write recovery exact —
-    see {!Geomix_parallel.Dag_exec.run} and {!Geomix_runtime.Dtd.execute}. *)
+    see {!Geomix_parallel.Dag_exec.run}. *)
 
 type policy = {
   max_attempts : int;       (** total attempts, [>= 1]; [1] = no retry *)

@@ -6,7 +6,7 @@
     the repo's analogue of PaRSEC's PINS instrumentation stream, which
     the paper's evaluation (Figs 8–10) is narrated from.
 
-    Producers ([Pool], [Dtd], [Dag_exec] via the runtime bridge, [Fault],
+    Producers ([Pool], [Dag_exec] via the runtime bridge, [Fault],
     [Mp_cholesky]) take an optional [?bus] argument and emit events; the
     bus fans each event out to its subscribed sinks:
 
@@ -34,7 +34,7 @@ type event = {
       (** seconds since bus creation; non-decreasing across the bus even if
           the wall clock steps backwards *)
   level : level;
-  component : string;  (** producer, e.g. ["pool"], ["dtd"], ["cholesky"] *)
+  component : string;  (** producer, e.g. ["pool"], ["fault"], ["cholesky"] *)
   name : string;  (** event kind within the component, e.g. ["task_end"] *)
   fields : (string * Jsonlite.t) list;  (** typed payload *)
 }

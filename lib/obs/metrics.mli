@@ -1,9 +1,9 @@
 (** Named-metric registry for the execution stack.
 
     The simulator has always had traces ({!Geomix_runtime.Trace}); this
-    registry is the equivalent for the {e real} executors — [Pool],
-    [Dag_exec] and [Dtd] record what actually happened (task counts, queue
-    waits, run times, bytes on the wire) into one of these, and the
+    registry is the equivalent for the {e real} executors — [Pool] and
+    [Mp_cholesky] record what actually happened (task counts, queue waits,
+    run times, bytes on the wire) into one of these, and the
     snapshot/diff/export pipeline turns it into the tables, CSVs and
     [BENCH_*.json] artifacts the CI regression gate consumes.
 

@@ -32,26 +32,12 @@ let supervise ~faults ~retry ~capture ~task_name ~on_retry execute =
         | Some f -> Fault.wrap f ~site:"exec" ~task:name ~attempt (fun () -> execute id)
         | None -> execute id)
 
-let run ?obs ?task_name ?faults ?retry ?capture ?on_retry ?acquire ?release ?job
-    ~pool ~num_tasks ~in_degree ~successors ~execute () =
+let run ?obs ?task_name ?faults ?retry ?capture ?on_retry ?job ~pool ~num_tasks
+    ~in_degree ~successors ~execute () =
   if Array.length in_degree <> num_tasks then
     invalid_arg "Dag_exec.run: in_degree length mismatch";
   let task_name = Option.value task_name ~default:string_of_int in
   let execute = supervise ~faults ~retry ~capture ~task_name ~on_retry execute in
-  (* Residency envelope: pin the task's footprint (out-of-core stores load
-     and pin tiles here) around every attempt — outside supervision, so a
-     retry's capture/restore always sees resident tiles — and unpin on the
-     way out even when the task fails. *)
-  let execute =
-    match (acquire, release) with
-    | None, None -> execute
-    | _ ->
-      fun id ->
-        (match acquire with Some a -> a id | None -> ());
-        Fun.protect
-          ~finally:(fun () -> match release with Some r -> r id | None -> ())
-          (fun () -> execute id)
-  in
   let execute =
     match obs with
     | None -> execute

@@ -36,8 +36,6 @@ val run :
   ?retry:Geomix_fault.Retry.policy ->
   ?capture:(int -> unit -> unit) ->
   ?on_retry:(id:int -> attempt:int -> exn -> unit) ->
-  ?acquire:(int -> unit) ->
-  ?release:(int -> unit) ->
   ?job:Pool.job ->
   pool:Pool.t ->
   num_tasks:int ->
@@ -57,12 +55,6 @@ val run :
     written footprint for sound re-execution (see above); it is only
     invoked when a retry policy with [max_attempts > 1] is present.
     [?on_retry] observes every re-execution decision (for metrics).
-
-    [?acquire]/[?release] bracket each task's whole supervision envelope
-    (acquire before the first attempt's capture, release after the last
-    attempt, also on failure): an out-of-core tile store pins the task's
-    read/write footprint here so no in-flight tile is evicted under a
-    kernel.  Called from worker domains, so they must be thread-safe.
 
     [?job] scopes the run to a {!Pool.job}: tasks are submitted under the
     job and the final wait is {!Pool.join_job} instead of

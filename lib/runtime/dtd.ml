@@ -1,8 +1,5 @@
 module Pool = Geomix_parallel.Pool
 module Dag_exec = Geomix_parallel.Dag_exec
-module Metrics = Geomix_obs.Metrics
-module Events = Geomix_obs.Events
-module Guard = Geomix_integrity.Guard
 
 type task_id = int
 
@@ -11,7 +8,7 @@ type task = {
   body : unit -> unit;
   reads : int list; (* declared footprint, sorted and deduplicated *)
   writes : int list;
-  raw_srcs : (int * task_id) list; (* (datum, writer) RAW edges into this task *)
+  raw_keys : int list; (* data fetched over a RAW edge, in read order *)
   mutable preds : task_id list; (* reverse insertion order while building *)
   mutable succs : task_id list;
   mutable indeg : int;
@@ -26,10 +23,9 @@ type t = {
   mutable tasks : task array;
   mutable count : int;
   data : (int, datum_state) Hashtbl.t;
-  bus : Events.t option;
 }
 
-let create ?bus () = { tasks = [||]; count = 0; data = Hashtbl.create 64; bus }
+let create () = { tasks = [||]; count = 0; data = Hashtbl.create 64 }
 
 let datum t key =
   match Hashtbl.find_opt t.data key with
@@ -62,13 +58,8 @@ let insert t ~name ~reads ~writes body =
   (* RAW edges are the data that actually travels: each read of a datum
      with a live writer is one transfer of that datum (a write-only access
      overwrites without fetching). *)
-  let raw_srcs =
-    List.filter_map
-      (fun key ->
-        match (datum t key).last_writer with Some w -> Some (key, w) | None -> None)
-      reads
-  in
-  let task = { name; body; reads; writes; raw_srcs; preds = []; succs = []; indeg = 0 } in
+  let raw_keys = List.filter (fun key -> (datum t key).last_writer <> None) reads in
+  let task = { name; body; reads; writes; raw_keys; preds = []; succs = []; indeg = 0 } in
   grow t task;
   t.tasks.(t.count) <- task;
   t.count <- t.count + 1;
@@ -86,17 +77,6 @@ let insert t ~name ~reads ~writes body =
       d.last_writer <- Some id;
       d.readers_since <- [])
     writes;
-  (match t.bus with
-  | None -> ()
-  | Some bus ->
-    Events.emit ~level:Events.Debug bus ~component:"dtd" ~name:"submit"
-      [
-        ("task", Events.fint id);
-        ("label", Events.fstr name);
-        ("reads", Events.fint (List.length reads));
-        ("writes", Events.fint (List.length writes));
-        ("raw_edges", Events.fint (List.length raw_srcs));
-      ]);
   id
 
 let num_tasks t = t.count
@@ -128,13 +108,9 @@ let execute_task t id =
 
 let default_datum_bytes _ = 1
 
-let raw_sources t id =
-  check_id t id;
-  t.tasks.(id).raw_srcs
-
 let task_in_bytes ?(datum_bytes = default_datum_bytes) t id =
   check_id t id;
-  List.fold_left (fun acc (key, _) -> acc + datum_bytes key) 0 t.tasks.(id).raw_srcs
+  List.fold_left (fun acc key -> acc + datum_bytes key) 0 t.tasks.(id).raw_keys
 
 let comm_volume ?(datum_bytes = default_datum_bytes) t =
   let acc = ref 0 in
@@ -153,176 +129,11 @@ let successors t id =
 
 let in_degree t = Array.init t.count (fun id -> t.tasks.(id).indeg)
 
-let execute ?pool ?obs ?span ?(datum_bytes = default_datum_bytes) ?trace ?bus
-    ?profile ?faults ?retry ?snapshot ?integrity ?datum_mat ?observe ?acquire
-    ?release ?job t =
-  (* The executing bus defaults to the one the graph was built with, so a
-     Dtd created with [?bus] narrates submission and execution on the same
-     stream without repeating the argument. *)
-  let bus = match bus with Some _ -> bus | None -> t.bus in
-  let record =
-    match obs with
-    | None -> fun _ -> ()
-    | Some reg ->
-      let tasks = Metrics.counter reg "dtd.tasks" in
-      let bytes = Metrics.counter reg "dtd.raw_bytes" in
-      let edges = Metrics.counter reg "dtd.raw_edges" in
-      fun id ->
-        Metrics.incr tasks;
-        Metrics.add bytes (task_in_bytes ~datum_bytes t id);
-        Metrics.add edges (List.length t.tasks.(id).raw_srcs)
-  in
-  (* Request attribution: the same RAW-edge volume the registry counters
-     accumulate, credited to the originating request's span.  Dtd data have
-     no transfer scalar, so bytes and the FP64-equivalent coincide. *)
-  let span_note =
-    match span with
-    | None -> fun _ -> ()
-    | Some sp ->
-      fun id ->
-        List.iter
-          (fun (key, _writer) ->
-            let b = datum_bytes key in
-            Geomix_obs.Span.note_transfer sp ~bytes:b ~fp64_bytes:b)
-          t.tasks.(id).raw_srcs;
-        Geomix_obs.Span.note_task sp
-  in
-  let note_complete =
-    match bus with
-    | None -> fun _ -> ()
-    | Some bus ->
-      fun id ->
-        Events.emit ~level:Events.Debug bus ~component:"dtd" ~name:"complete"
-          [
-            ("task", Events.fint id);
-            ("label", Events.fstr t.tasks.(id).name);
-            ("raw_bytes", Events.fint (task_in_bytes ~datum_bytes t id));
-            ("raw_edges", Events.fint (List.length t.tasks.(id).raw_srcs));
-          ]
-  in
-  let task_label id = t.tasks.(id).name in
-  let dag_obs =
-    let hooks =
-      List.filter_map Fun.id
-        [
-          Option.map (fun tr -> Obs_bridge.recorder ~name:task_label tr) trace;
-          Option.map (fun b -> Obs_bridge.bus_recorder ~name:task_label ~component:"dtd" b) bus;
-          Option.map (fun c -> Obs_bridge.profile_recorder ~name:task_label c) profile;
-        ]
-    in
-    match hooks with [] -> None | [ h ] -> Some h | hs -> Some (Obs_bridge.fanout hs)
-  in
-  (* Recovery metrics: re-executions and the footprint data rolled back to
-     make them sound. *)
-  let metric_retry, note_restore =
-    match obs with
-    | None -> (None, fun _ -> ())
-    | Some reg ->
-      let retries = Metrics.counter reg "dtd.retries" in
-      let restores = Metrics.counter reg "dtd.restores" in
-      let restored = Metrics.counter reg "dtd.restored_bytes" in
-      ( Some (fun ~id:_ ~attempt:_ _ -> Metrics.incr retries),
-        fun id ->
-          Metrics.incr restores;
-          Metrics.add restored
-            (List.fold_left (fun acc k -> acc + datum_bytes k) 0 t.tasks.(id).writes) )
-  in
-  let bus_retry =
-    match bus with
-    | None -> None
-    | Some bus ->
-      Some
-        (fun ~id ~attempt exn ->
-          Events.emit ~level:Events.Warn bus ~component:"dtd" ~name:"retry"
-            ([
-               ("task", Events.fint id);
-               ("label", Events.fstr t.tasks.(id).name);
-               ("attempt", Events.fint attempt);
-               ("error", Events.fstr (Printexc.to_string exn));
-             ]
-            @
-            match retry with
-            | None -> []
-            | Some p ->
-              [ ("backoff_s", Events.fnum (Geomix_fault.Retry.delay_for p ~attempt)) ]))
-  in
-  let note_retry =
-    match (metric_retry, bus_retry, span) with
-    | None, None, None -> None
-    | _ ->
-      Some
-        (fun ~id ~attempt exn ->
-          (match metric_retry with Some f -> f ~id ~attempt exn | None -> ());
-          (match span with Some sp -> Geomix_obs.Span.note_retry sp | None -> ());
-          match bus_retry with Some f -> f ~id ~attempt exn | None -> ())
-  in
-  (* A task's restorable state is exactly its declared written footprint:
-     capture each written datum through the caller's [snapshot] before the
-     first attempt, restore them all before a re-execution. *)
-  let capture =
-    Option.map
-      (fun snap id ->
-        let restorers = List.map snap t.tasks.(id).writes in
-        fun () ->
-          List.iter (fun r -> r ()) restorers;
-          note_restore id)
-      snapshot
-  in
-  (* ABFT boundaries.  A consumer verifies every RAW-edge payload it is
-     about to read against the producer's stamp (detect), repairing from
-     the guard's snapshot when possible (recover) and escalating with
-     [Guard.Corrupt] — deliberately non-retryable: re-running a task on
-     corrupted inputs reproduces the wrong answer — otherwise.  A producer
-     stamps every datum it wrote, so the next consumer hop is covered. *)
-  let verify_in, stamp_out =
-    match (integrity, datum_mat) with
-    | Some g, Some dm ->
-      ( (fun id ->
-          List.iter
-            (fun (key, _writer) ->
-              match dm key with
-              | None -> ()
-              | Some m ->
-                if not (Guard.check g ~key m) then begin
-                  let task = t.tasks.(id).name in
-                  Guard.note_detected g ~key ~task;
-                  if Guard.restore g ~key m && Guard.check g ~key m then
-                    Guard.note_recovered g ~key ~task
-                  else Guard.corrupt g ~key ~task "raw-edge payload corrupted"
-                end)
-            t.tasks.(id).raw_srcs),
-        fun id ->
-          List.iter
-            (fun key ->
-              match dm key with None -> () | Some m -> Guard.stamp g ~key m)
-            t.tasks.(id).writes )
-    | _ -> ((fun _ -> ()), fun _ -> ())
-  in
-  (* Range instrumentation: after a task body runs, hand each datum it
-     wrote (resolved through [datum_mat]) to the observer.  Read-only — the
-     execution is bit-identical with or without the hook. *)
-  let observe_out =
-    match (observe, datum_mat) with
-    | Some f, Some dm ->
-      fun id ->
-        List.iter
-          (fun key -> match dm key with None -> () | Some m -> f ~key m)
-          t.tasks.(id).writes
-    | _ -> fun _ -> ()
-  in
+let execute ?pool t =
   let run pool =
-    Dag_exec.run ?obs:dag_obs ~task_name:(fun id -> t.tasks.(id).name) ?faults ?retry
-      ?capture ?on_retry:note_retry ?acquire ?release ?job ~pool ~num_tasks:t.count
-      ~in_degree:(in_degree t)
+    Dag_exec.run ~pool ~num_tasks:t.count ~in_degree:(in_degree t)
       ~successors:(fun id -> t.tasks.(id).succs)
-      ~execute:(fun id ->
-        record id;
-        span_note id;
-        verify_in id;
-        t.tasks.(id).body ();
-        observe_out id;
-        stamp_out id;
-        note_complete id)
+      ~execute:(fun id -> t.tasks.(id).body ())
       ()
   in
   match pool with Some pool -> run pool | None -> Pool.with_pool ~num_workers:0 run

@@ -11,11 +11,8 @@
 type t
 type task_id = int
 
-val create : ?bus:Geomix_obs.Events.t -> unit -> t
-(** [create ()] builds an empty graph.  With [?bus], graph construction
-    and execution are narrated on the telemetry bus (component ["dtd"]):
-    {!insert} emits a Debug [submit] event per task, and {!execute}
-    defaults its own [?bus] to this one. *)
+val create : unit -> t
+(** [create ()] builds an empty graph. *)
 
 val insert :
   t -> name:string -> reads:int list -> writes:int list -> (unit -> unit) -> task_id
@@ -54,115 +51,19 @@ val in_degree : t -> int array
     schedule the derived DAG admits — the property suites replay seeded
     interleavings to assert exactly that. *)
 
-val raw_sources : t -> task_id -> (int * task_id) list
-(** The [(datum, writer)] RAW edges into a task, in the task's read
-    order. *)
-
 val task_in_bytes : ?datum_bytes:(int -> int) -> t -> task_id -> int
 (** Bytes this task fetches over its RAW edges. *)
 
 val comm_volume : ?datum_bytes:(int -> int) -> t -> int
 (** Total bytes over all RAW edges of the program. *)
 
-val execute :
-  ?pool:Geomix_parallel.Pool.t ->
-  ?obs:Geomix_obs.Metrics.t ->
-  ?span:Geomix_obs.Span.t ->
-  ?datum_bytes:(int -> int) ->
-  ?trace:Trace.t ->
-  ?bus:Geomix_obs.Events.t ->
-  ?profile:Geomix_obs.Profile.collector ->
-  ?faults:Geomix_fault.Fault.t ->
-  ?retry:Geomix_fault.Retry.policy ->
-  ?snapshot:(int -> unit -> unit) ->
-  ?integrity:Geomix_integrity.Guard.t ->
-  ?datum_mat:(int -> Geomix_linalg.Mat.t option) ->
-  ?observe:(key:int -> Geomix_linalg.Mat.t -> unit) ->
-  ?acquire:(task_id -> unit) ->
-  ?release:(task_id -> unit) ->
-  ?job:Geomix_parallel.Pool.job ->
-  t ->
-  unit
+val execute : ?pool:Geomix_parallel.Pool.t -> t -> unit
 (** Run every inserted task under the derived dependencies (serial pool by
-    default).  The graph is reusable: executing twice runs the bodies
-    twice.
-
-    [?obs] records real execution metrics: [dtd.tasks] (task bodies run —
-    under retry, re-executions count again), [dtd.raw_edges] (RAW
-    transfers) and [dtd.raw_bytes] (their volume under [datum_bytes]).
-    [?trace] appends one wall-clock event per task (label = task name,
-    resource = pool worker index) — feed it to {!Trace.to_chrome_json} or
-    {!Trace.gantt} for a real-run timeline.
-
-    [?span] attributes the execution to a per-request trace span
-    ({!Geomix_obs.Span}): one {!Geomix_obs.Span.note_transfer} per RAW
-    edge (bytes under [datum_bytes]; Dtd data carry no transfer scalar, so
-    the FP64-equivalent equals the shipped volume), one task completion
-    per body run, and a retry note per supervised re-execution — the same
-    quantities [?obs] accumulates in [dtd.raw_bytes]/[dtd.raw_edges],
-    credited to the originating request.
-
-    [?bus] (default: the bus the graph was created with, if any) streams
-    the same execution onto the telemetry bus (component ["dtd"]): Debug
-    [task_begin]/[task_end] pairs carrying the measured run-relative span
-    in field ["at"] (identical to what [?trace] records — see
-    {!Obs_bridge.bus_recorder}), a Debug [complete] per task with its
-    RAW-edge count and byte volume under [datum_bytes], and a Warn [retry]
-    per supervised re-execution with the attempt number, the failed
-    exception and (when [?retry] is given) the backoff applied.
-    [?profile] collects one {!Geomix_obs.Profile} measure per completed
-    task for critical-path analysis — pass the result to
-    {!Geomix_obs.Profile.analyze} with [~preds] from {!predecessors}.
-
-    {b Supervised recovery.}  [?faults] subjects every task body to the
-    seeded fault plan (site ["exec"], keyed by the task's {e name}), and
-    [?retry] re-executes failed attempts with bounded backoff.  Sound
-    re-execution needs the task's written footprint rolled back first:
-    [snapshot key] must capture the current value of datum [key] and
-    return a thunk restoring it — e.g. for tile data,
-    [fun key -> let saved = Mat.copy (tile key) in
-     fun () -> Mat.blit ~src:saved ~dst:(tile key)].  Before a task's
-    first attempt each of its written data is captured; before every
-    re-execution they are all restored, so a retried task re-runs against
-    exactly the state its first attempt saw.  With [?obs], recovery adds
-    [dtd.retries], [dtd.restores] and [dtd.restored_bytes] (volume under
-    [datum_bytes] of the written footprints rolled back).
-
-    {b ABFT tile integrity.}  [?integrity] (with [?datum_mat] mapping a
-    datum key to its tile payload, [None] for non-tile data) guards both
-    ends of every RAW edge: before a task body runs, each payload it reads
-    is verified against its producer's checksum — a mismatch is a detected
-    silent corruption, repaired in place from the guard's snapshot when
-    one exists and re-verified, otherwise escalated as
-    {!Geomix_integrity.Guard.Corrupt} (non-retryable by design; re-running
-    a consumer on corrupted inputs reproduces the wrong answer).  After
-    the body, each written payload is (re-)stamped, covering the next hop.
-    Counters and [sdc_detected]/[sdc_recovered] events land on the guard's
-    own registry/bus.
-
-    {b Range instrumentation.}  [?observe] (with [?datum_mat], same key
-    resolution as the integrity guard) is the autotuner's pilot hook: after
-    a task body runs, the callback receives each tile datum the task wrote,
-    at full working precision and before any later consumer touches it.
-    Observers must not mutate payloads; execution is bit-identical with or
-    without the hook.  Tasks writing {e distinct} data may be observed
-    concurrently under a parallel pool, so observer state must be per-datum
-    or synchronized ({!Geomix_autotune.Range_tracker} keeps per-tile
-    accumulators).
-
-    {b Out-of-core residency.}  [?acquire]/[?release] bracket each task's
-    supervision envelope (forwarded to {!Geomix_parallel.Dag_exec.run}):
-    an out-of-core tile store pins the task's declared footprint — from
-    {!footprint} — so no in-flight tile is evicted under a kernel, and
-    unpins it after the last attempt, also on failure.  Called from worker
-    domains, so they must be thread-safe.
-
-    {b Shared pools.}  [?job] scopes the run to a
-    {!Geomix_parallel.Pool.job}: concurrent [execute] calls sharing one
-    pool neither await nor observe each other's tasks or failures — the
-    contract the request server ({!Geomix_serve.Server}) relies on.
-    Without it, the final wait covers every pool thunk (pool-wide
-    fail-fast semantics). *)
+    default) — a plain {!Geomix_parallel.Dag_exec.run} over the derived
+    DAG.  The graph is reusable: executing twice runs the bodies twice.
+    A raising body aborts the run and the exception propagates.
+    Supervised execution (retry, integrity, observation) lives in
+    [Geomix_core.Mp_cholesky.factorize]. *)
 
 val critical_path_length : t -> int
 (** Longest dependency chain, in tasks — the inherent sequential depth of

@@ -9,7 +9,6 @@ module Tiled = Geomix_tile.Tiled
 module Pm = Geomix_core.Precision_map
 module Cm = Geomix_core.Comm_map
 module Mp = Geomix_core.Mp_cholesky
-module Dtd = Geomix_runtime.Dtd
 module Rt = Geomix_autotune.Range_tracker
 module Ta = Geomix_autotune.Type_advisor
 module Pe = Geomix_autotune.Pareto_explorer
@@ -149,24 +148,6 @@ let test_pilot_leaves_factorization_bit_identical () =
     (tiles_bit_identical plain observed);
   Alcotest.(check bool) "tracker saw every task output" true
     (Rt.observations tracker > 0)
-
-let test_dtd_observe_hook () =
-  let mats = [| Mat.init ~rows:2 ~cols:2 (fun _ _ -> 1.5); Mat.create ~rows:2 ~cols:2 |] in
-  let g = Dtd.create () in
-  ignore
-    (Dtd.insert g ~name:"w0" ~reads:[] ~writes:[ 0 ] (fun () ->
-         Mat.set mats.(0) 0 0 2.0));
-  ignore
-    (Dtd.insert g ~name:"w1" ~reads:[ 0 ] ~writes:[ 1 ] (fun () ->
-         Mat.set mats.(1) 1 1 (Mat.get mats.(0) 0 0)));
-  let seen = ref [] in
-  Dtd.execute
-    ~datum_mat:(fun k -> if k < 2 then Some mats.(k) else None)
-    ~observe:(fun ~key m -> seen := (key, Mat.get m 0 0) :: !seen)
-    g;
-  (* One observation per written datum, carrying post-task tile state. *)
-  Alcotest.(check (list (pair int (float 0.))))
-    "observed writes in order" [ (0, 2.0); (1, 0.) ] (List.rev !seen)
 
 (* --- Type_advisor ------------------------------------------------------ *)
 
@@ -323,7 +304,6 @@ let () =
         [
           Alcotest.test_case "observation leaves tiles bit-identical" `Quick
             test_pilot_leaves_factorization_bit_identical;
-          Alcotest.test_case "dtd observe hook" `Quick test_dtd_observe_hook;
         ] );
       ( "type advisor",
         [

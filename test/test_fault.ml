@@ -1,7 +1,8 @@
 (* Fault-injection and recovery layer: plan determinism, supervised retry,
-   fail-fast pool cancellation, snapshot-sound re-execution in Dag_exec and
-   Dtd, and the precision-escalation fallback of the mixed-precision
-   Cholesky.  Everything is seeded — failures replay exactly. *)
+   fail-fast pool cancellation, snapshot-sound re-execution in Dag_exec
+   and the supervised Cholesky (with its recovery counters), and the
+   precision-escalation fallback of the mixed-precision Cholesky.
+   Everything is seeded — failures replay exactly. *)
 
 module Fault = Geomix_fault.Fault
 module Retry = Geomix_fault.Retry
@@ -9,6 +10,8 @@ module Metrics = Geomix_obs.Metrics
 module Pool = Geomix_parallel.Pool
 module Dag_exec = Geomix_parallel.Dag_exec
 module Dtd = Geomix_runtime.Dtd
+module Task = Geomix_runtime.Task
+module Cholesky_dag = Geomix_runtime.Cholesky_dag
 module Mat = Geomix_linalg.Mat
 module Blas = Geomix_linalg.Blas
 module Tiled = Geomix_tile.Tiled
@@ -407,43 +410,6 @@ let test_dag_exec_budget_exhausted_propagates () =
     Alcotest.(check int) "failed on the final attempt" 2 attempt;
     Alcotest.(check (float 0.)) "no task completed" 0. (Array.fold_left ( +. ) 0. cells)
 
-(* Dtd: footprint snapshots and recovery metrics *)
-
-let test_dtd_snapshot_recovery () =
-  let run ~faulted =
-    let cells = Array.make 2 0. in
-    let g = Dtd.create () in
-    for i = 0 to 7 do
-      let key = i mod 2 in
-      ignore
-        (Dtd.insert g
-           ~name:(Printf.sprintf "ACC(%d)" i)
-           ~reads:[] ~writes:[ key ]
-           (fun () -> cells.(key) <- cells.(key) +. float_of_int (i + 1)))
-    done;
-    let reg = Metrics.create () in
-    let snapshot key =
-      let saved = cells.(key) in
-      fun () -> cells.(key) <- saved
-    in
-    (if faulted then
-       let faults =
-         Fault.plan ~rate:1. ~kinds:[ Fault.Crash_after_write ] ~sleep:ignore ~seed:9 ()
-       in
-       Dtd.execute ~obs:reg
-         ~datum_bytes:(fun _ -> 8)
-         ~faults ~retry:(Retry.immediate ()) ~snapshot g
-     else Dtd.execute g);
-    (cells, Metrics.snapshot reg)
-  in
-  let clean, _ = run ~faulted:false in
-  let recovered, snap = run ~faulted:true in
-  Alcotest.(check (array (float 0.))) "recovered run = fault-free run" clean recovered;
-  Alcotest.(check int) "dtd.retries" 8 (counter_of snap "dtd.retries");
-  Alcotest.(check int) "dtd.restores" 8 (counter_of snap "dtd.restores");
-  Alcotest.(check int) "dtd.restored_bytes (8 per written datum)" 64
-    (counter_of snap "dtd.restored_bytes")
-
 (* Mp_cholesky: chaos equivalence and precision escalation *)
 
 let spd ~nt ~nb =
@@ -485,6 +451,49 @@ let test_cholesky_chaos_equivalence () =
           0.
           (Tiled.rel_diff a ~reference)
       done)
+    [ 0; 2 ]
+
+let test_cholesky_crash_recovery_counters () =
+  (* Crash-after-write faults run the kernel, then fail: only the snapshot
+     rollback of the written tile keeps the retry from double-applying an
+     update.  The recovery counters account for exactly the faulted tasks
+     and the bytes of the tiles they rolled back (ragged last tile, so the
+     byte sum depends on which tiles were restored). *)
+  let nt = 4 and nb = 8 in
+  let n = (nt * nb) - 3 in
+  let make () =
+    Tiled.init ~n ~nb (fun i j ->
+      (if i = j then 1.0 else 0.) +. exp (-0.05 *. float_of_int (abs (i - j))))
+  in
+  let pmap = Pm.two_level ~nt ~off_diag:Fp.Fp16_32 in
+  let reference = make () in
+  Chol.factorize ~pmap reference;
+  List.iter
+    (fun workers ->
+      let a = make () in
+      let faults =
+        Fault.plan ~rate:0.3 ~kinds:[ Fault.Crash_after_write ] ~sleep:ignore ~seed:7 ()
+      in
+      let reg = Metrics.create () in
+      Pool.with_pool ~num_workers:workers (fun pool ->
+        Chol.factorize ~pool ~faults ~retry:(Retry.immediate ()) ~obs:reg ~pmap a);
+      Alcotest.(check (float 0.)) "bitwise identical" 0. (Tiled.rel_diff a ~reference);
+      let faulted = ref 0 and bytes = ref 0 in
+      Cholesky_dag.iter (Cholesky_dag.create ~nt) (fun _ kind ->
+        if Fault.decide faults ~site:"exec" ~task:(Task.name kind) ~attempt:1 <> None
+        then begin
+          let i, j = Task.write_tile kind in
+          incr faulted;
+          bytes := !bytes + (8 * Tiled.tile_rows a i * Tiled.tile_rows a j)
+        end);
+      let snap = Metrics.snapshot reg in
+      Alcotest.(check bool) "some tasks faulted" true (!faulted > 0);
+      Alcotest.(check int) "every fault injected" !faulted (Fault.injected faults);
+      Alcotest.(check int) "cholesky.retries" !faulted (counter_of snap "cholesky.retries");
+      Alcotest.(check int) "cholesky.restores" !faulted
+        (counter_of snap "cholesky.restores");
+      Alcotest.(check int) "cholesky.restored_bytes" !bytes
+        (counter_of snap "cholesky.restored_bytes"))
     [ 0; 2 ]
 
 let test_cholesky_pivot_escalation_recovers () =
@@ -692,11 +701,12 @@ let () =
           Alcotest.test_case "budget exhausted propagates" `Quick
             test_dag_exec_budget_exhausted_propagates;
         ] );
-      ("dtd recovery", [ Alcotest.test_case "snapshot + metrics" `Quick test_dtd_snapshot_recovery ]);
       ( "cholesky recovery",
         [
           Alcotest.test_case "global pivot index" `Quick test_cholesky_global_pivot_index;
           Alcotest.test_case "chaos equivalence" `Quick test_cholesky_chaos_equivalence;
+          Alcotest.test_case "crash + retry recovery counters" `Quick
+            test_cholesky_crash_recovery_counters;
           Alcotest.test_case "pivot escalation recovers" `Quick
             test_cholesky_pivot_escalation_recovers;
           Alcotest.test_case "escalation reaches full map" `Quick

@@ -1,10 +1,9 @@
 (* ABFT tile integrity: checksum discrimination (lawful precision
    conversion passes the fingerprint a flipped high-order bit fails),
-   Guard stamp/verify/restore/derive semantics, raw-edge detection and
-   recovery through Dtd.execute, the guarantee that a guarded fault-free
-   factorization is bitwise identical to an unguarded one, and the
-   acceptance property: with seeded silent data corruption armed, nothing
-   ever escapes the guard silently. *)
+   Guard stamp/verify/restore/derive semantics, the guarantee that a
+   guarded fault-free factorization is bitwise identical to an unguarded
+   one, and the acceptance property: with seeded silent data corruption
+   armed, nothing ever escapes the guard silently. *)
 
 module Checksum = Geomix_integrity.Checksum
 module Guard = Geomix_integrity.Guard
@@ -18,7 +17,6 @@ module Fault = Geomix_fault.Fault
 module Retry = Geomix_fault.Retry
 module Metrics = Geomix_obs.Metrics
 module Pool = Geomix_parallel.Pool
-module Dtd = Geomix_runtime.Dtd
 
 let qtest t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xAB47 |]) t
 
@@ -150,44 +148,6 @@ let test_guard_reset_keeps_counters () =
   Alcotest.(check bool) "unstamped again trusted" true (Guard.check g ~key:9 m);
   Alcotest.(check int) "counters survive reset" before (Guard.stamped g)
 
-(* Dtd raw edges *)
-
-(* A three-task program: a producer writes datum 1, a saboteur (ordered
-   after the producer by its declared read) corrupts the payload in
-   transit, and a consumer reads it.  The consumer-side verification must
-   detect the damage and — with snapshots — repair it before the body
-   runs. *)
-let dtd_sabotage ~snapshots =
-  let payload = tile 6 6 in
-  let clean = Mat.copy payload in
-  let g = Dtd.create () in
-  ignore (Dtd.insert g ~name:"produce" ~reads:[] ~writes:[ 1 ] (fun () -> ()));
-  ignore
-    (Dtd.insert g ~name:"sabotage" ~reads:[ 1 ] ~writes:[ 2 ] (fun () ->
-       flip_bit payload ~bit:40 ~idx:11));
-  let seen_clean = ref false in
-  ignore
-    (Dtd.insert g ~name:"consume" ~reads:[ 1; 2 ] ~writes:[] (fun () ->
-       seen_clean := Mat.rel_diff payload ~reference:clean = 0.));
-  let guard = Guard.create ~snapshots () in
-  Dtd.execute ~integrity:guard
-    ~datum_mat:(fun key -> if key = 1 then Some payload else None)
-    g;
-  (guard, !seen_clean)
-
-let test_dtd_raw_edge_recovery () =
-  let guard, seen_clean = dtd_sabotage ~snapshots:true in
-  Alcotest.(check bool) "consumer saw repaired payload" true seen_clean;
-  Alcotest.(check int) "detected" 1 (Guard.detected guard);
-  Alcotest.(check int) "recovered" 1 (Guard.recovered guard);
-  Alcotest.(check int) "no violations" 0 (Guard.violations guard)
-
-let test_dtd_raw_edge_unrecoverable () =
-  match dtd_sabotage ~snapshots:false with
-  | _ -> Alcotest.fail "corrupted raw edge executed"
-  | exception Guard.Corrupt v ->
-    Alcotest.(check string) "reason" "raw-edge payload corrupted" v.Guard.reason
-
 (* Guarded factorization *)
 
 let spd ~nt ~nb =
@@ -302,12 +262,6 @@ let () =
           Alcotest.test_case "derive across conversion" `Quick test_guard_derive;
           Alcotest.test_case "reset keeps counters" `Quick
             test_guard_reset_keeps_counters;
-        ] );
-      ( "dtd raw edges",
-        [
-          Alcotest.test_case "detect and repair" `Quick test_dtd_raw_edge_recovery;
-          Alcotest.test_case "unrecoverable raises" `Quick
-            test_dtd_raw_edge_unrecoverable;
         ] );
       ( "guarded cholesky",
         [

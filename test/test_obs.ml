@@ -377,25 +377,20 @@ let test_pool_obs_serial () =
   Alcotest.(check int) "serial tasks" 5 (counter_of (M.find s "pool.tasks"));
   Alcotest.(check int) "serial worker0" 5 (counter_of (M.find s "pool.worker0.tasks"))
 
-(* DTD byte accounting: recorded = declared, under every schedule *)
+(* DTD byte accounting: declared volume, under every schedule *)
 
 let datum_bytes k = (k mod 7) + 1
 
-let test_dtd_obs_matches_comm_volume () =
+let test_dtd_declared_bytes () =
   let t = Dtd.create () in
   (* A small chain with a broadcast: 0 writes {0,1}; 1 and 2 read them. *)
   ignore (Dtd.insert t ~name:"w" ~reads:[] ~writes:[ 0; 1 ] (fun () -> ()));
   ignore (Dtd.insert t ~name:"r1" ~reads:[ 0; 1 ] ~writes:[ 2 ] (fun () -> ()));
   ignore (Dtd.insert t ~name:"r2" ~reads:[ 0; 2 ] ~writes:[] (fun () -> ()));
-  let declared = Dtd.comm_volume ~datum_bytes t in
   (* RAW edges: r1←w on 0 and 1; r2←w on 0, r2←r1 on 2. *)
-  Alcotest.(check int) "declared volume" (1 + 2 + 1 + 3) declared;
-  let reg = M.create () in
-  Dtd.execute ~obs:reg ~datum_bytes t;
-  let s = M.snapshot reg in
-  Alcotest.(check int) "recorded bytes" declared (counter_of (M.find s "dtd.raw_bytes"));
-  Alcotest.(check int) "recorded edges" 4 (counter_of (M.find s "dtd.raw_edges"));
-  Alcotest.(check int) "recorded tasks" 3 (counter_of (M.find s "dtd.tasks"))
+  Alcotest.(check (list int)) "per-task fetch" [ 0; 1 + 2; 1 + 3 ]
+    (List.init 3 (Dtd.task_in_bytes ~datum_bytes t));
+  Alcotest.(check int) "declared volume" (1 + 2 + 1 + 3) (Dtd.comm_volume ~datum_bytes t)
 
 let prop_bytes_schedule_independent =
   QCheck.Test.make ~name:"bytes-on-the-wire identical across interleavings" ~count:40
@@ -415,21 +410,13 @@ let prop_bytes_schedule_independent =
         if !total <> declared then ok := false);
       !ok)
 
-let prop_dtd_obs_schedule_independent =
-  QCheck.Test.make ~name:"executed dtd.raw_bytes equals declared comm_volume" ~count:25
-    (Gen.program_spec ~max_ops:12 ~max_keys:5 ())
-    (fun spec ->
-      let t = Gen.dtd_of_program (Gen.program_of_spec spec) in
-      let reg = M.create () in
-      Dtd.execute ~obs:reg ~datum_bytes t;
-      match M.find (M.snapshot reg) "dtd.raw_bytes" with
-      | Some (M.Counter b) -> b = Dtd.comm_volume ~datum_bytes t
-      | _ -> false)
-
 (* Telemetry bus *)
 
 module E = Geomix_obs.Events
 module Trace = Geomix_runtime.Trace
+module Tiled = Geomix_tile.Tiled
+module Pm = Geomix_core.Precision_map
+module Chol = Geomix_core.Mp_cholesky
 
 let test_bus_level_filtering () =
   let bus = E.create ~level:E.Warn () in
@@ -610,54 +597,19 @@ let test_pool_bus_events () =
     Alcotest.(check string) "shutdown last" "shutdown" last.E.name
   | _ -> Alcotest.fail "no events"
 
-let test_dtd_bus_events () =
-  let bus = E.create () in
-  let ring = E.ring bus in
-  let t = Dtd.create ~bus () in
-  ignore (Dtd.insert t ~name:"w" ~reads:[] ~writes:[ 0; 1 ] (fun () -> ()));
-  ignore (Dtd.insert t ~name:"r1" ~reads:[ 0; 1 ] ~writes:[ 2 ] (fun () -> ()));
-  ignore (Dtd.insert t ~name:"r2" ~reads:[ 0; 2 ] ~writes:[] (fun () -> ()));
-  Dtd.execute ~datum_bytes t;
-  let evs = E.ring_events ring in
-  Alcotest.(check int) "submits" 3 (count_named evs "dtd" "submit");
-  Alcotest.(check int) "task begins" 3 (count_named evs "dtd" "task_begin");
-  Alcotest.(check int) "task ends" 3 (count_named evs "dtd" "task_end");
-  Alcotest.(check int) "completes" 3 (count_named evs "dtd" "complete");
-  (* The narrated per-task fetch volumes sum to the declared total. *)
-  let streamed_bytes =
-    List.fold_left
-      (fun acc e ->
-        if e.E.name = "complete" then
-          match List.assoc_opt "raw_bytes" e.E.fields with
-          | Some (J.Num b) -> acc + int_of_float b
-          | _ -> Alcotest.fail "complete without raw_bytes"
-        else acc)
-      0 evs
-  in
-  Alcotest.(check int) "streamed bytes = declared" (Dtd.comm_volume ~datum_bytes t)
-    streamed_bytes
-
 let test_bus_reconstructs_makespan () =
-  (* The acceptance check behind `geomix report`: task_end events carry the
-     same floats the Trace records, so the streamed log rebuilds the
-     measured makespan bit-identically. *)
+  (* The acceptance check behind `geomix report`, on the factorization it
+     runs: task_end events carry the same floats the Trace records, so the
+     streamed log rebuilds the measured makespan bit-identically. *)
   let bus = E.create () in
   let ring = E.ring bus in
   let trace = Trace.create () in
-  let t = Dtd.create () in
-  let spin = ref 0. in
-  for i = 0 to 7 do
-    ignore
-      (Dtd.insert t
-         ~name:(Printf.sprintf "t%d" i)
-         ~reads:(if i = 0 then [] else [ i - 1 ])
-         ~writes:[ i ]
-         (fun () ->
-           for k = 1 to 1000 do
-             spin := !spin +. float_of_int k
-           done))
-  done;
-  Dtd.execute ~trace ~bus t;
+  let nt = 4 and nb = 8 in
+  let a =
+    Tiled.init ~n:(nt * nb) ~nb (fun i j ->
+      (if i = j then 1.0 else 0.) +. exp (-0.05 *. float_of_int (abs (i - j))))
+  in
+  Chol.factorize ~trace ~bus ~pmap:(Pm.uniform ~nt Geomix_precision.Fpformat.Fp64) a;
   let streamed =
     List.fold_left
       (fun acc e ->
@@ -900,7 +852,6 @@ let () =
             test_bus_non_finite_payload;
           Alcotest.test_case "GEOMIX_LOG parsing" `Quick test_bus_env_level;
           Alcotest.test_case "pool lifecycle events" `Quick test_pool_bus_events;
-          Alcotest.test_case "dtd submit/complete events" `Quick test_dtd_bus_events;
           Alcotest.test_case "log replay reconstructs makespan" `Quick
             test_bus_reconstructs_makespan;
         ] );
@@ -927,8 +878,7 @@ let () =
         [
           Alcotest.test_case "pool metrics" `Quick test_pool_obs;
           Alcotest.test_case "serial pool metrics" `Quick test_pool_obs_serial;
-          Alcotest.test_case "dtd bytes recorded" `Quick test_dtd_obs_matches_comm_volume;
+          Alcotest.test_case "dtd declared bytes" `Quick test_dtd_declared_bytes;
           QCheck_alcotest.to_alcotest prop_bytes_schedule_independent;
-          QCheck_alcotest.to_alcotest prop_dtd_obs_schedule_independent;
         ] );
     ]

@@ -399,24 +399,6 @@ let test_crash_property =
     crash_property
 
 (* ------------------------------------------------------------------ *)
-(* Mirror mode: Mp_cholesky ?store under a tight budget is bitwise
-   identical to the in-core factorization. *)
-
-let test_mirror_mode_bitwise () =
-  with_dir (fun dir ->
-    let d = decay_spd 96 in
-    let nb = 16 in
-    let reference = Tiled.of_dense ~nb d in
-    let pmap = Pm.of_tiled ~u_req:1e-6 reference in
-    Mp.factorize ~pmap reference;
-    let a = Tiled.of_dense ~nb d in
-    let st = Store.create ~budget:(3 * 8 * nb * nb) ~dir () in
-    Mp.factorize ~store:st ~pmap a;
-    Alcotest.(check bool) "store actually spilled" true (Store.spills st > 0);
-    Alcotest.(check (float 0.)) "bitwise identical under eviction" 0.
-      (Tiled.rel_diff a ~reference))
-
-(* ------------------------------------------------------------------ *)
 (* Left-looking out-of-core driver: parity, kill/resume, bit-rot. *)
 
 let test_ooc_driver_matches_in_core () =
@@ -650,8 +632,6 @@ let () =
         [ QCheck_alcotest.to_alcotest test_crash_property ] );
       ( "cholesky",
         [
-          Alcotest.test_case "mirror mode bitwise" `Quick
-            test_mirror_mode_bitwise;
           Alcotest.test_case "driver matches in-core" `Quick
             test_ooc_driver_matches_in_core;
           Alcotest.test_case "driver ragged fp64" `Quick
