@@ -28,7 +28,6 @@ let experiments : (string * string * (Common.scale -> unit)) list =
     ("fig12", "Fig 12: Summit scalability", B_fig12.run);
     ("motion", "Data motion: STC vs TTC vs FP64 bytes on the wire", B_motion.run);
     ("ablations", "Ablations: STC accuracy, rule sweep, BF16 chain", B_ablation.run);
-    ("kernels", "Bechamel kernel micro-benchmarks", B_kernels.run);
   ]
 
 let usage () =

@@ -61,10 +61,11 @@ val factorize :
     Out-of-core factorization is {!Ooc_cholesky}'s job; this driver is
     in-core only.
 
-    [?job] scopes the execution to a {!Geomix_parallel.Pool.job}, so
-    concurrent factorizations sharing one pool neither await nor observe
-    each other's tasks or failures — how the request server multiplexes
-    requests over the shared domain pool.
+    [?job] runs the execution under the caller's
+    {!Geomix_parallel.Pool.job} — how the request server ties a
+    factorization to its request.  Without it the run gets a private job;
+    either way, concurrent factorizations sharing one pool neither await
+    nor observe each other's tasks or failures.
 
     [?observe] is the range-instrumentation hook (the [?obs]-style pilot
     pass of the autotuner): after each kernel writes tile (i, j), the

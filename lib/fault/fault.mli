@@ -5,10 +5,9 @@
     plan's seed.  No global state and no OS scheduler enters the decision,
     so a chaos run is replayable bit-for-bit from its seed alone — the same
     tasks fault, in the same way, under any schedule and any worker count.
-    The executors ({!Geomix_parallel.Pool}, {!Geomix_parallel.Dag_exec})
-    and the numeric layer
-    ({!Geomix_core.Mp_cholesky}) accept a plan through an optional
-    [?faults] argument.
+    The DAG executor ({!Geomix_parallel.Dag_exec}, site ["exec"]) and the
+    numeric layer ({!Geomix_core.Mp_cholesky}) accept a plan through an
+    optional [?faults] argument.
 
     Three execution-level fault kinds, applied by {!wrap} around a task
     body, plus a numeric one ({!pivot_failure}) consumed by the

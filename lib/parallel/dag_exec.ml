@@ -55,32 +55,18 @@ let run ?obs ?task_name ?faults ?retry ?capture ?on_retry ?job ~pool ~num_tasks
             on_task ~id ~worker ~start ~stop:(Unix.gettimeofday () -. origin))
           (fun () -> execute id)
   in
+  (* Without a caller's job the run gets a private one: its tasks and its
+     failure are this run's alone, even on a shared pool. *)
+  let job = match job with Some job -> job | None -> Pool.new_job pool in
   let counters = Array.map (fun d -> Atomic.make d) in_degree in
   let completed = Atomic.make 0 in
-  let failed = Atomic.make false in
-  (* Under a job, thunks and the final wait are scoped to this run alone:
-     concurrent runs sharing the pool neither await nor observe each
-     other's tasks or errors. *)
-  let submit =
-    match job with
-    | None -> Pool.submit pool
-    | Some job -> Pool.submit_job pool job
-  in
   let rec launch id =
-    submit (fun () ->
-      if not (Atomic.get failed) then begin
-        (try execute id
-         with exn ->
-           Atomic.set failed true;
-           Atomic.incr completed;
-           raise exn);
-        Atomic.incr completed;
-        List.iter
-          (fun s ->
-            if Atomic.fetch_and_add counters.(s) (-1) = 1 then launch s)
-          (successors id)
-      end
-      else Atomic.incr completed)
+    Pool.submit_job pool job (fun () ->
+      execute id;
+      Atomic.incr completed;
+      List.iter
+        (fun s -> if Atomic.fetch_and_add counters.(s) (-1) = 1 then launch s)
+        (successors id))
   in
   (* Roots must be read from the immutable in-degrees, not the live
      counters: a root submitted early may already be executing and
@@ -90,10 +76,9 @@ let run ?obs ?task_name ?faults ?retry ?capture ?on_retry ?job ~pool ~num_tasks
   if num_tasks > 0 && !roots = [] then
     invalid_arg "Dag_exec.run: no source task (cyclic graph?)";
   List.iter launch !roots;
-  (match job with
-  | None -> Pool.wait_idle pool
-  | Some job -> Pool.join_job pool job);
-  if (not (Atomic.get failed)) && Atomic.get completed <> num_tasks then
+  (* Re-raises the first task error; the job skipped the queued rest. *)
+  Pool.join_job pool job;
+  if Atomic.get completed <> num_tasks then
     invalid_arg "Dag_exec.run: not all tasks became ready (cyclic graph?)"
 
 (* Invert the successor function once; each list comes back in ascending

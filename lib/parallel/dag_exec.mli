@@ -16,9 +16,9 @@
     once, before the task's first attempt, and must return a thunk that
     restores the captured state; the envelope invokes that thunk before
     every re-execution.  When the retry budget is exhausted (or the
-    exception is not [retryable]) the failure propagates as before: the
-    scheduler stops launching ready tasks, the pool cancels its queue, and
-    the exception re-raises from [run] with its original backtrace. *)
+    exception is not [retryable]) the failure propagates: the run's job
+    skips its queued tasks, no successor of the failed task is launched,
+    and the exception re-raises from [run] with its original backtrace. *)
 
 type obs = { on_task : id:int -> worker:int -> start:float -> stop:float -> unit }
 (** Real-execution hook: called once per task with the worker index that ran
@@ -56,17 +56,16 @@ val run :
     invoked when a retry policy with [max_attempts > 1] is present.
     [?on_retry] observes every re-execution decision (for metrics).
 
-    [?job] scopes the run to a {!Pool.job}: tasks are submitted under the
-    job and the final wait is {!Pool.join_job} instead of
-    {!Pool.wait_idle}, so {e concurrent runs sharing one pool} neither
-    await nor observe each other's tasks, and a failure aborts only this
-    run (its remaining ready tasks are skipped; other jobs' queued thunks
-    are untouched).  Without [?job] the historical pool-wide semantics
-    apply: the wait covers every pool thunk and the first error recorded
-    pool-wide — possibly another caller's — is re-raised.
+    Every run executes under one {!Pool.job}, so {e concurrent runs
+    sharing one pool} neither await nor observe each other's tasks, and a
+    failure aborts only its own run: that run's queued tasks are skipped,
+    other runs' tasks are untouched.  [?job] supplies the job — the
+    server passes its request's, so the request's span sees every task;
+    without it the run creates a private one ({!Pool.new_job}).
 
     @raise Invalid_argument if the graph is cyclic or in-degrees are
-    inconsistent (not every task became ready). *)
+    inconsistent (not every task became ready); checked only on a run
+    whose tasks all succeeded. *)
 
 val predecessors : num_tasks:int -> successors:(int -> int list) -> int list array
 (** Invert the successor function once; each predecessor list comes back in

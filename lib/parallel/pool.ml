@@ -1,26 +1,23 @@
 module Metrics = Geomix_obs.Metrics
 module Events = Geomix_obs.Events
-module Fault = Geomix_fault.Fault
 
-(* A job is a completion scope over a subset of the pool's thunks: its own
-   pending count, its own first-error slot, its own condition variable (all
-   guarded by the pool mutex).  An exception escaping a job-scoped thunk —
-   including an injected fault — lands in the job, never in the pool's
-   fail-fast slot, and a failed job skips its own queued thunks without
-   cancelling anyone else's. *)
+(* A job is the pool's only completion scope: every thunk runs under one.
+   Its pending count, first-error slot and condition variable are guarded
+   by the pool mutex.  An exception escaping a thunk lands in that thunk's
+   job, whose queued thunks are then skipped at dequeue; other jobs sharing
+   the pool are untouched. *)
 type job = {
   job_done : Condition.t;
   mutable pending : int;
-  mutable job_error : (exn * Printexc.raw_backtrace) option;
+  mutable error : (exn * Printexc.raw_backtrace) option;
   mutable skipped : int;
+  mutable narrated : int; (* skips already reported on the bus *)
   span : Geomix_obs.Span.t option;
       (* per-request trace context: every item run under this job adds
          its queue-wait and run time to the span *)
 }
 
-type scope = Pool_scope | Job_scope of job
-
-type item = { thunk : unit -> unit; submitted : float; seq : int; scope : scope }
+type item = { thunk : unit -> unit; submitted : float; job : job }
 
 (* Metric cells resolved once at pool creation so the hot path never takes
    the registry lock. *)
@@ -37,16 +34,10 @@ type obs_state = {
 type t = {
   mutex : Mutex.t;
   nonempty : Condition.t;
-  idle : Condition.t;
   queue : item Queue.t;
-  mutable in_flight : int; (* queued + currently executing thunks *)
   mutable stopping : bool;
-  mutable first_error : (exn * Printexc.raw_backtrace) option;
-  mutable cancelled : int;
-  mutable next_seq : int;
   mutable workers : unit Domain.t array;
   serial : bool;
-  faults : Fault.t option;
   obs : obs_state option;
   bus : Events.t option;
 }
@@ -70,109 +61,71 @@ let make_obs reg n =
           Metrics.counter reg (Printf.sprintf "pool.worker%d.tasks" i));
   }
 
-(* Fail fast: the first recorded error cancels every queued-but-unstarted
-   item, so a failing DAG stops scheduling work instead of running the
-   rest of the graph to completion against a doomed result.  Thunks
-   already executing are not interrupted (OCaml has no safe asynchronous
-   cancellation); they run out and their errors, if any, are dropped in
-   favour of the first. *)
-let cancel_pending_locked t =
-  let n = Queue.length t.queue in
-  if n > 0 then begin
-    (* Discarded job thunks must still settle their job's accounting, or a
-       concurrent [join_job] would wait forever on the pending count. *)
-    Queue.iter
-      (fun it ->
-        match it.scope with
-        | Pool_scope -> ()
-        | Job_scope job ->
-          job.skipped <- job.skipped + 1;
-          job.pending <- job.pending - 1;
-          if job.pending = 0 then Condition.broadcast job.job_done)
-      t.queue;
-    Queue.clear t.queue;
-    t.cancelled <- t.cancelled + n;
-    (match t.obs with Some o -> Metrics.add o.cancelled_total n | None -> ());
-    emit t ~level:Events.Warn "cancelled" [ ("count", Events.fint n) ];
-    t.in_flight <- t.in_flight - n;
-    if t.in_flight = 0 then Condition.broadcast t.idle
-  end
-
-let record_error t exn bt =
-  Mutex.lock t.mutex;
-  if t.first_error = None then begin
-    t.first_error <- Some (exn, bt);
-    emit t ~level:Events.Error "error"
-      [ ("error", Events.fstr (Printexc.to_string exn)) ];
-    cancel_pending_locked t
-  end;
-  Mutex.unlock t.mutex
-
-let run_thunk t item =
-  match t.faults with
-  | None -> item.thunk ()
-  | Some f ->
-    Fault.wrap f ~site:"pool" ~task:(string_of_int item.seq) ~attempt:1 item.thunk
-
-(* Execute a job-scoped item: skip when the job has already failed, catch
-   the escaping exception — [run_thunk] sits inside the try, so injected
-   faults land here too — in the job's error slot, and settle the pending
-   count whichever way it went. *)
-let run_job_item t job item =
-  Mutex.lock t.mutex;
-  let skip = job.job_error <> None in
-  if skip then job.skipped <- job.skipped + 1;
-  Mutex.unlock t.mutex;
-  (if not skip then
-     try run_thunk t item
-     with exn ->
-       let bt = Printexc.get_raw_backtrace () in
-       Mutex.lock t.mutex;
-       if job.job_error = None then begin
-         job.job_error <- Some (exn, bt);
-         emit t ~level:Events.Error "job_error"
-           [ ("error", Events.fstr (Printexc.to_string exn)) ]
-       end;
-       Mutex.unlock t.mutex);
-  Mutex.lock t.mutex;
+let settle_locked job =
   job.pending <- job.pending - 1;
-  if job.pending = 0 then Condition.broadcast job.job_done;
+  if job.pending = 0 then Condition.broadcast job.job_done
+
+(* The settle step, one lock per executed item: keep the job's first error
+   (later ones are dropped in its favour) and retire the item. *)
+let settle t job err =
+  Mutex.lock t.mutex;
+  (match err with
+  | Some (exn, _) when job.error = None ->
+    job.error <- err;
+    emit t ~level:Events.Error "error"
+      [ ("error", Events.fstr (Printexc.to_string exn)) ]
+  | _ -> ());
+  settle_locked job;
   Mutex.unlock t.mutex
 
 (* Run a dequeued item on behalf of [worker], recording queue-wait and
-   run-time when the pool is instrumented. *)
-let item_span item =
-  match item.scope with
-  | Job_scope { span = Some sp; _ } -> Some sp
-  | _ -> None
-
+   run-time when the pool is instrumented or the job traced. *)
 let run_item t ~worker item =
   let exec () =
-    match item.scope with
-    | Pool_scope -> (
-      try run_thunk t item
-      with exn -> record_error t exn (Printexc.get_raw_backtrace ()))
-    | Job_scope job -> run_job_item t job item
+    match item.thunk () with
+    | () -> None
+    | exception exn -> Some (exn, Printexc.get_raw_backtrace ())
   in
-  match (t.obs, item_span item) with
-  | None, None -> exec ()
-  | obs, span ->
-    (* One gettimeofday pair serves both the registry histograms and the
-       job's span — tracing adds no extra clock reads. *)
-    let t0 = Unix.gettimeofday () in
-    let queue_s = t0 -. item.submitted in
-    (match obs with Some o -> Metrics.observe o.queue_wait queue_s | None -> ());
-    exec ();
-    let run_s = Unix.gettimeofday () -. t0 in
-    (match obs with
-    | Some o ->
-      Metrics.observe o.run_time run_s;
-      Metrics.incr o.tasks_total;
-      Metrics.incr o.worker_tasks.(worker mod Array.length o.worker_tasks)
-    | None -> ());
-    match span with
-    | Some sp -> Geomix_obs.Span.note_exec sp ~queue_s ~run_s
-    | None -> ()
+  let err =
+    match (t.obs, item.job.span) with
+    | None, None -> exec ()
+    | obs, span ->
+      (* One gettimeofday pair serves both the registry histograms and the
+         job's span — tracing adds no extra clock reads. *)
+      let t0 = Unix.gettimeofday () in
+      let queue_s = t0 -. item.submitted in
+      (match obs with Some o -> Metrics.observe o.queue_wait queue_s | None -> ());
+      let err = exec () in
+      let run_s = Unix.gettimeofday () -. t0 in
+      (match obs with
+      | Some o ->
+        Metrics.observe o.run_time run_s;
+        Metrics.incr o.tasks_total;
+        Metrics.incr o.worker_tasks.(worker mod Array.length o.worker_tasks)
+      | None -> ());
+      (match span with
+      | Some sp -> Geomix_obs.Span.note_exec sp ~queue_s ~run_s
+      | None -> ());
+      err
+  in
+  settle t item.job err
+
+(* Pop the head item — pool lock held on entry, released on return — and
+   run it, unless its job has already failed: then it is skipped and
+   settled inside this same dequeue lock. *)
+let run_next t ~worker =
+  let item = Queue.pop t.queue in
+  let job = item.job in
+  if job.error = None then begin
+    Mutex.unlock t.mutex;
+    run_item t ~worker item
+  end
+  else begin
+    job.skipped <- job.skipped + 1;
+    (match t.obs with Some o -> Metrics.incr o.cancelled_total | None -> ());
+    settle_locked job;
+    Mutex.unlock t.mutex
+  end
 
 let worker_loop t worker () =
   emit t ~level:Events.Debug "worker_start" [ ("worker", Events.fint worker) ];
@@ -182,24 +135,18 @@ let worker_loop t worker () =
       (match t.obs with Some o -> Metrics.incr o.idle_waits | None -> ());
       Condition.wait t.nonempty t.mutex
     done;
-    if Queue.is_empty t.queue && t.stopping then begin
+    if Queue.is_empty t.queue then begin
       Mutex.unlock t.mutex;
       emit t ~level:Events.Debug "worker_stop" [ ("worker", Events.fint worker) ]
     end
     else begin
-      let item = Queue.pop t.queue in
-      Mutex.unlock t.mutex;
-      run_item t ~worker item;
-      Mutex.lock t.mutex;
-      t.in_flight <- t.in_flight - 1;
-      if t.in_flight = 0 then Condition.broadcast t.idle;
-      Mutex.unlock t.mutex;
+      run_next t ~worker;
       loop ()
     end
   in
   loop ()
 
-let create ?obs ?bus ?faults ?num_workers () =
+let create ?obs ?bus ?num_workers () =
   let n =
     match num_workers with
     | Some n -> Stdlib.max 0 n
@@ -209,16 +156,10 @@ let create ?obs ?bus ?faults ?num_workers () =
     {
       mutex = Mutex.create ();
       nonempty = Condition.create ();
-      idle = Condition.create ();
       queue = Queue.create ();
-      in_flight = 0;
       stopping = false;
-      first_error = None;
-      cancelled = 0;
-      next_seq = 0;
       workers = [||];
       serial = n = 0;
-      faults;
       obs = Option.map (fun reg -> make_obs reg n) obs;
       bus;
     }
@@ -228,12 +169,6 @@ let create ?obs ?bus ?faults ?num_workers () =
   t
 
 let num_workers t = Array.length t.workers
-
-let cancelled t =
-  Mutex.lock t.mutex;
-  let n = t.cancelled in
-  Mutex.unlock t.mutex;
-  n
 
 (* Dense index of the calling domain among the pool's workers; 0 for the
    caller domain of a serial pool (and for any foreign domain). *)
@@ -247,133 +182,78 @@ let self_index t =
   in
   find 0
 
-let submit_scoped t ~scope thunk =
-  let traced =
-    match scope with Job_scope { span = Some _; _ } -> true | _ -> false
-  in
-  let submitted =
-    if t.obs <> None || traced then Unix.gettimeofday () else 0.
-  in
-  Mutex.lock t.mutex;
-  assert (not t.stopping);
-  Queue.push { thunk; submitted; seq = t.next_seq; scope } t.queue;
-  t.next_seq <- t.next_seq + 1;
-  t.in_flight <- t.in_flight + 1;
-  (match t.obs with
-  | Some o -> Metrics.set_max o.queue_peak (float_of_int (Queue.length t.queue))
-  | None -> ());
-  Condition.signal t.nonempty;
-  Mutex.unlock t.mutex
-
-let submit t thunk = submit_scoped t ~scope:Pool_scope thunk
-
-let drain_serial t =
-  let rec next () =
-    Mutex.lock t.mutex;
-    let item = if Queue.is_empty t.queue then None else Some (Queue.pop t.queue) in
-    Mutex.unlock t.mutex;
-    match item with
-    | None -> ()
-    | Some item ->
-      run_item t ~worker:0 item;
-      Mutex.lock t.mutex;
-      t.in_flight <- t.in_flight - 1;
-      Mutex.unlock t.mutex;
-      next ()
-  in
-  next ()
-
-let reraise t =
-  Mutex.lock t.mutex;
-  let err = t.first_error in
-  t.first_error <- None;
-  Mutex.unlock t.mutex;
-  match err with
-  | None -> ()
-  | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
-
-(* {2 Job-scoped execution} *)
-
 let new_job ?span _t =
-  { job_done = Condition.create (); pending = 0; job_error = None; skipped = 0; span }
+  {
+    job_done = Condition.create ();
+    pending = 0;
+    error = None;
+    skipped = 0;
+    narrated = 0;
+    span;
+  }
 
 let job_span job = job.span
 
 let job_skipped job = job.skipped
 
 let submit_job t job thunk =
+  let submitted =
+    if t.obs <> None || job.span <> None then Unix.gettimeofday () else 0.
+  in
   Mutex.lock t.mutex;
+  assert (not t.stopping);
   job.pending <- job.pending + 1;
-  Mutex.unlock t.mutex;
-  submit_scoped t ~scope:(Job_scope job) thunk
+  Queue.push { thunk; submitted; job } t.queue;
+  (match t.obs with
+  | Some o -> Metrics.set_max o.queue_peak (float_of_int (Queue.length t.queue))
+  | None -> ());
+  Condition.signal t.nonempty;
+  Mutex.unlock t.mutex
+
+(* Serial pools have no workers, so [join_job] and [shutdown] drain the
+   queue on the caller — items of other jobs included, or they would
+   starve.  Pool lock held on entry and exit. *)
+let drain_one_locked t =
+  run_next t ~worker:0;
+  Mutex.lock t.mutex
 
 let join_job t job =
-  (if t.serial then
-     (* No workers: run queued items on the caller until this job's thunks
-        are all done.  Items of other jobs encountered on the way are
-        executed too (they would starve otherwise); if another caller
-        thread is mid-run on our last item, wait for its signal. *)
-     let rec loop () =
-       Mutex.lock t.mutex;
-       if job.pending = 0 then Mutex.unlock t.mutex
-       else if not (Queue.is_empty t.queue) then begin
-         let item = Queue.pop t.queue in
-         Mutex.unlock t.mutex;
-         run_item t ~worker:0 item;
-         Mutex.lock t.mutex;
-         t.in_flight <- t.in_flight - 1;
-         if t.in_flight = 0 then Condition.broadcast t.idle;
-         Mutex.unlock t.mutex;
-         loop ()
-       end
-       else begin
-         Condition.wait job.job_done t.mutex;
-         Mutex.unlock t.mutex;
-         loop ()
-       end
-     in
-     loop ()
-   else begin
-     Mutex.lock t.mutex;
-     while job.pending > 0 do
-       Condition.wait job.job_done t.mutex
-     done;
-     Mutex.unlock t.mutex
-   end);
   Mutex.lock t.mutex;
-  let err = job.job_error in
-  job.job_error <- None;
+  while job.pending > 0 do
+    (* On a serial pool with an empty queue, another caller thread is
+       running this job's last item; its settle signals [job_done]. *)
+    if t.serial && not (Queue.is_empty t.queue) then drain_one_locked t
+    else Condition.wait job.job_done t.mutex
+  done;
+  let err = job.error in
+  job.error <- None;
+  let skipped = job.skipped - job.narrated in
+  job.narrated <- job.skipped;
   Mutex.unlock t.mutex;
   match err with
   | None -> ()
-  | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
-
-let wait_idle t =
-  if t.serial then drain_serial t
-  else begin
-    Mutex.lock t.mutex;
-    while t.in_flight > 0 do
-      Condition.wait t.idle t.mutex
-    done;
-    Mutex.unlock t.mutex
-  end;
-  reraise t
+  | Some (exn, bt) ->
+    if skipped > 0 then
+      emit t ~level:Events.Warn "cancelled" [ ("count", Events.fint skipped) ];
+    Printexc.raise_with_backtrace exn bt
 
 let shutdown t =
-  if t.serial then drain_serial t
-  else begin
-    Mutex.lock t.mutex;
-    if not t.stopping then begin
-      t.stopping <- true;
-      Condition.broadcast t.nonempty;
-      Mutex.unlock t.mutex;
-      Array.iter Domain.join t.workers;
-      emit t "shutdown" [ ("cancelled", Events.fint (cancelled t)) ]
-    end
-    else Mutex.unlock t.mutex
-  end;
-  reraise t
+  Mutex.lock t.mutex;
+  if t.serial then begin
+    while not (Queue.is_empty t.queue) do
+      drain_one_locked t
+    done;
+    Mutex.unlock t.mutex
+  end
+  else if not t.stopping then begin
+    t.stopping <- true;
+    Condition.broadcast t.nonempty;
+    Mutex.unlock t.mutex;
+    Array.iter Domain.join t.workers;
+    emit t "shutdown" []
+  end
+  else Mutex.unlock t.mutex
 
-let with_pool ?obs ?bus ?faults ?num_workers f =
-  let t = create ?obs ?bus ?faults ?num_workers () in
+let with_pool ?obs ?bus ?num_workers f =
+  let t = create ?obs ?bus ?num_workers () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

@@ -1,5 +1,5 @@
 (* Fault-injection and recovery layer: plan determinism, supervised retry,
-   fail-fast pool cancellation, snapshot-sound re-execution in Dag_exec
+   fail-fast job cancellation, snapshot-sound re-execution in Dag_exec
    and the supervised Cholesky (with its recovery counters), and the
    precision-escalation fallback of the mixed-precision Cholesky.
    Everything is seeded — failures replay exactly. *)
@@ -269,89 +269,79 @@ let test_retry_budget_exhausted () =
     (Invalid_argument "Retry.run: max_attempts < 1")
     (fun () -> Retry.run { Retry.default with max_attempts = 0 } (fun ~attempt:_ -> ()))
 
-(* Pool: fail-fast cancellation *)
+(* Pool: fail-fast cancellation, per job *)
 
 let test_pool_cancels_pending_serial () =
   (* Serial drain is deterministic: items run in order, the failure at item
-     3 cancels the six not-yet-started ones. *)
+     3 skips the six not-yet-started ones. *)
   let pool = Pool.create ~num_workers:0 () in
   let hits = ref 0 in
+  let job = Pool.new_job pool in
   for i = 0 to 9 do
-    Pool.submit pool (fun () -> if i = 3 then raise Boom else incr hits)
+    Pool.submit_job pool job (fun () -> if i = 3 then raise Boom else incr hits)
   done;
-  Alcotest.check_raises "first error re-raised" Boom (fun () -> Pool.wait_idle pool);
+  Alcotest.check_raises "first error re-raised" Boom (fun () -> Pool.join_job pool job);
   Alcotest.(check int) "items before the failure ran" 3 !hits;
-  Alcotest.(check int) "items after the failure cancelled" 6 (Pool.cancelled pool);
+  Alcotest.(check int) "items after the failure cancelled" 6 (Pool.job_skipped job);
   (* The pool stays usable after a cancellation round. *)
   let after = ref 0 in
+  let job = Pool.new_job pool in
   for _ = 1 to 5 do
-    Pool.submit pool (fun () -> incr after)
+    Pool.submit_job pool job (fun () -> incr after)
   done;
-  Pool.wait_idle pool;
+  Pool.join_job pool job;
   Alcotest.(check int) "usable after cancellation" 5 !after;
   Pool.shutdown pool
 
 let test_pool_cancels_pending_parallel () =
   (* With real workers the interleaving is nondeterministic; assert the
      accounting invariant: ran + cancelled = submitted, and nothing runs
-     after wait_idle reports the error. *)
+     after join_job reports the error. *)
   let pool = Pool.create ~num_workers:2 () in
   let hits = Atomic.make 0 in
   let total = 200 in
+  let job = Pool.new_job pool in
   for i = 0 to total - 1 do
-    Pool.submit pool (fun () -> if i = 50 then raise Boom else Atomic.incr hits)
+    Pool.submit_job pool job (fun () -> if i = 50 then raise Boom else Atomic.incr hits)
   done;
-  Alcotest.check_raises "first error re-raised" Boom (fun () -> Pool.wait_idle pool);
-  let ran = Atomic.get hits and cancelled = Pool.cancelled pool in
+  Alcotest.check_raises "first error re-raised" Boom (fun () -> Pool.join_job pool job);
+  let ran = Atomic.get hits and cancelled = Pool.job_skipped job in
   Alcotest.(check int) "ran + failed + cancelled = submitted" total (ran + 1 + cancelled);
   Pool.shutdown pool
 
 let test_pool_error_backtrace_preserved () =
-  (* reraise must rethrow the recorded exception (with its original
+  (* join_job must rethrow the recorded exception (with its original
      backtrace — observable here as the exception itself surviving a
      cancellation round unchanged). *)
   let pool = Pool.create ~num_workers:0 () in
-  Pool.submit pool (fun () -> raise (Failure "original"));
-  Pool.submit pool (fun () -> ());
+  let job = Pool.new_job pool in
+  Pool.submit_job pool job (fun () -> raise (Failure "original"));
+  Pool.submit_job pool job (fun () -> ());
   Alcotest.check_raises "identity preserved" (Failure "original") (fun () ->
-    Pool.shutdown pool)
-
-let test_pool_site_faults () =
-  let reg = Metrics.create () in
-  let faults = Fault.plan ~obs:reg ~rate:1. ~sleep:ignore ~seed:2 () in
-  let pool = Pool.create ~faults ~num_workers:0 () in
-  let hits = ref 0 in
-  for _ = 1 to 3 do
-    Pool.submit pool (fun () -> incr hits)
-  done;
-  (try Pool.wait_idle pool
-   with Fault.Injected { kind = Fault.Transient; _ } -> ());
-  Alcotest.(check int) "first thunk faulted, rest cancelled" 0 !hits;
-  Alcotest.(check int) "one injection" 1 (Fault.injected faults);
-  Alcotest.(check int) "two cancellations" 2 (Pool.cancelled pool);
-  let snap = Metrics.snapshot reg in
-  Alcotest.(check int) "fault.injected mirrored" 1 (counter_of snap "fault.injected");
+    Pool.join_job pool job);
   Pool.shutdown pool
 
 let test_pool_job_faults_stay_in_job () =
-  (* A fault injected into a job-scoped thunk belongs to the job: join_job
-     re-raises it, the rest of the job is skipped, and the pool's own
-     fail-fast slot stays empty so unrelated work is not cancelled. *)
+  (* A fault injected at the executor's ["exec"] site belongs to the run's
+     job: the run re-raises it, the job skips its queued tasks, and a job
+     sharing the pool is untouched. *)
   let faults = Fault.plan ~rate:1. ~sleep:ignore ~seed:2 () in
-  let pool = Pool.create ~faults ~num_workers:0 () in
-  let hits = ref 0 in
-  let job = Pool.new_job pool in
-  Pool.submit_job pool job (fun () -> incr hits);
-  Pool.submit_job pool job (fun () -> incr hits);
-  (match Pool.join_job pool job with
-   | () -> Alcotest.fail "injected fault not raised by join_job"
-   | exception Fault.Injected _ -> ());
-  Alcotest.(check int) "faulted job ran nothing" 0 !hits;
-  Alcotest.(check int) "rest of the job skipped" 1 (Pool.job_skipped job);
-  Alcotest.(check int) "no pool-wide cancellation" 0 (Pool.cancelled pool);
-  (* wait_idle must not re-raise the job's fault. *)
-  Pool.wait_idle pool;
-  Pool.shutdown pool
+  Pool.with_pool ~num_workers:0 (fun pool ->
+    let hits = ref 0 and other_hits = ref 0 in
+    let job = Pool.new_job pool and other = Pool.new_job pool in
+    Pool.submit_job pool other (fun () -> incr other_hits);
+    (match
+       Dag_exec.run ~faults ~job ~pool ~num_tasks:3 ~in_degree:[| 0; 0; 0 |]
+         ~successors:(fun _ -> [])
+         ~execute:(fun _ -> incr hits)
+         ()
+     with
+    | () -> Alcotest.fail "injected fault not raised by the run"
+    | exception Fault.Injected _ -> ());
+    Alcotest.(check int) "faulted job ran nothing" 0 !hits;
+    Alcotest.(check int) "rest of the job skipped" 2 (Pool.job_skipped job);
+    Pool.join_job pool other;
+    Alcotest.(check int) "other job ran" 1 !other_hits)
 
 (* Dag_exec: supervised retry with snapshot restore *)
 
@@ -691,7 +681,6 @@ let () =
             test_pool_job_faults_stay_in_job;
           Alcotest.test_case "error identity preserved" `Quick
             test_pool_error_backtrace_preserved;
-          Alcotest.test_case "pool-site injection" `Quick test_pool_site_faults;
         ] );
       ( "dag_exec supervision",
         [

@@ -348,10 +348,11 @@ let test_pool_obs () =
   let reg = M.create () in
   let total = 57 in
   Pool.with_pool ~obs:reg ~num_workers:2 (fun pool ->
+    let job = Pool.new_job pool in
     for _ = 1 to total do
-      Pool.submit pool (fun () -> ignore (Sys.opaque_identity (ref 0)))
+      Pool.submit_job pool job (fun () -> ignore (Sys.opaque_identity (ref 0)))
     done;
-    Pool.wait_idle pool);
+    Pool.join_job pool job);
   let s = M.snapshot reg in
   Alcotest.(check int) "tasks" total (counter_of (M.find s "pool.tasks"));
   Alcotest.(check (float 0.)) "workers" 2. (gauge_of (M.find s "pool.workers"));
@@ -369,10 +370,11 @@ let test_pool_obs () =
 let test_pool_obs_serial () =
   let reg = M.create () in
   Pool.with_pool ~obs:reg ~num_workers:0 (fun pool ->
+    let job = Pool.new_job pool in
     for _ = 1 to 5 do
-      Pool.submit pool (fun () -> ())
+      Pool.submit_job pool job (fun () -> ())
     done;
-    Pool.wait_idle pool);
+    Pool.join_job pool job);
   let s = M.snapshot reg in
   Alcotest.(check int) "serial tasks" 5 (counter_of (M.find s "pool.tasks"));
   Alcotest.(check int) "serial worker0" 5 (counter_of (M.find s "pool.worker0.tasks"))
@@ -572,12 +574,13 @@ let count_named evs component name =
 let test_pool_bus_events () =
   let bus = E.create () in
   let ring = E.ring bus in
-  (* The failing thunk is narrated on the bus and re-raised at wait_idle. *)
+  (* The failing thunk is narrated on the bus and re-raised at join_job. *)
   (try
      Pool.with_pool ~bus ~num_workers:2 (fun pool ->
-       Pool.submit pool (fun () -> ());
-       Pool.submit pool (fun () -> failwith "boom");
-       Pool.wait_idle pool)
+       let job = Pool.new_job pool in
+       Pool.submit_job pool job (fun () -> ());
+       Pool.submit_job pool job (fun () -> failwith "boom");
+       Pool.join_job pool job)
    with Failure _ -> ());
   let evs = E.ring_events ring in
   Alcotest.(check int) "one create" 1 (count_named evs "pool" "create");

@@ -1,6 +1,6 @@
 module Pool = Geomix_parallel.Pool
 module Dag_exec = Geomix_parallel.Dag_exec
-module Par = Geomix_parallel.Par
+module Metrics = Geomix_obs.Metrics
 module Rng = Geomix_util.Rng
 module Explore = Geomix_verify.Explore
 
@@ -10,30 +10,36 @@ let with_pools f =
   (* Exercise both the serial degradation and a real multi-domain pool. *)
   List.iter (fun w -> Pool.with_pool ~num_workers:w f) [ 0; 2 ]
 
+(* Every thunk runs under a job; these are the basic pool contracts, each
+   exercised through one. *)
+
 let test_submit_runs () =
   with_pools (fun pool ->
     let hits = Atomic.make 0 in
+    let job = Pool.new_job pool in
     for _ = 1 to 50 do
-      Pool.submit pool (fun () -> Atomic.incr hits)
+      Pool.submit_job pool job (fun () -> Atomic.incr hits)
     done;
-    Pool.wait_idle pool;
+    Pool.join_job pool job;
     Alcotest.(check int) "all ran" 50 (Atomic.get hits))
 
 let test_nested_submit () =
   with_pools (fun pool ->
     let hits = Atomic.make 0 in
-    Pool.submit pool (fun () ->
+    let job = Pool.new_job pool in
+    Pool.submit_job pool job (fun () ->
       Atomic.incr hits;
-      Pool.submit pool (fun () -> Atomic.incr hits));
-    Pool.wait_idle pool;
+      Pool.submit_job pool job (fun () -> Atomic.incr hits));
+    Pool.join_job pool job;
     Alcotest.(check int) "nested ran" 2 (Atomic.get hits))
 
 let test_exception_propagates () =
   List.iter
     (fun w ->
       let pool = Pool.create ~num_workers:w () in
-      Pool.submit pool (fun () -> raise Boom);
-      Alcotest.check_raises "re-raised" Boom (fun () -> Pool.wait_idle pool);
+      let job = Pool.new_job pool in
+      Pool.submit_job pool job (fun () -> raise Boom);
+      Alcotest.check_raises "re-raised" Boom (fun () -> Pool.join_job pool job);
       Pool.shutdown pool)
     [ 0; 2 ]
 
@@ -47,23 +53,25 @@ let test_raise_stress () =
       let workers = Pool.num_workers pool in
       for round = 1 to 5 do
         let hits = Atomic.make 0 in
+        let job = Pool.new_job pool in
         for i = 1 to 20 do
-          Pool.submit pool (fun () ->
+          Pool.submit_job pool job (fun () ->
             if i mod 4 = 0 then raise Boom else Atomic.incr hits)
         done;
         Alcotest.check_raises
           (Printf.sprintf "round %d re-raised" round)
           Boom
-          (fun () -> Pool.wait_idle pool);
+          (fun () -> Pool.join_job pool job);
         Alcotest.(check int)
           (Printf.sprintf "round %d workers intact" round)
           workers (Pool.num_workers pool);
         (* The pool must still run a clean batch after the failure. *)
         let after = Atomic.make 0 in
+        let clean = Pool.new_job pool in
         for _ = 1 to 10 do
-          Pool.submit pool (fun () -> Atomic.incr after)
+          Pool.submit_job pool clean (fun () -> Atomic.incr after)
         done;
-        Pool.wait_idle pool;
+        Pool.join_job pool clean;
         Alcotest.(check int)
           (Printf.sprintf "round %d pool usable after raise" round)
           10 (Atomic.get after)
@@ -73,26 +81,11 @@ let test_raise_stress () =
       Pool.shutdown pool)
     [ 0; 2 ]
 
-let test_wait_idle_idempotent () =
+let test_join_idempotent () =
   with_pools (fun pool ->
-    Pool.wait_idle pool;
-    Pool.wait_idle pool)
-
-let test_parallel_for () =
-  with_pools (fun pool ->
-    let out = Array.make 100 0 in
-    Par.parallel_for ~pool ~lo:0 ~hi:100 (fun i -> out.(i) <- i * i);
-    Array.iteri (fun i v -> Alcotest.(check int) "value" (i * i) v) out)
-
-let test_parallel_for_empty () =
-  with_pools (fun pool -> Par.parallel_for ~pool ~lo:5 ~hi:5 (fun _ -> assert false))
-
-let test_parallel_init_map () =
-  with_pools (fun pool ->
-    let a = Par.parallel_init ~pool 20 (fun i -> i + 1) in
-    Alcotest.(check int) "init" 20 a.(19);
-    let b = Par.parallel_map ~pool (fun x -> 2 * x) a in
-    Alcotest.(check int) "map" 40 b.(19))
+    let job = Pool.new_job pool in
+    Pool.join_job pool job;
+    Pool.join_job pool job)
 
 (* A random layered DAG: edges only go from layer k to k+1, so it is
    acyclic by construction; execution must respect every edge. *)
@@ -187,6 +180,57 @@ let test_dag_exec_error () =
         ~execute:(fun id -> if id = 1 then raise Boom)
         ()))
 
+(* Two runs without [?job] share one pool; one of them fails.  Each run
+   has its own private job, so the healthy run executes every task exactly
+   once and returns normally, and the failing run re-raises its own
+   exception.  The failing task waits until the healthy run's fan-out is
+   queued, so the failure lands while that work is still pending. *)
+let test_dag_exec_isolation_without_job () =
+  Pool.with_pool ~num_workers:2 (fun pool ->
+    let width = 40 in
+    let fanned_out = Atomic.make false in
+    let runs = Array.make (width + 1) 0 in
+    let healthy () =
+      Dag_exec.run ~pool ~num_tasks:(width + 1)
+        ~in_degree:(Array.init (width + 1) (fun i -> if i = 0 then 0 else 1))
+        ~successors:(fun id -> if id = 0 then List.init width (fun i -> i + 1) else [])
+        ~execute:(fun id ->
+          runs.(id) <- runs.(id) + 1;
+          if id > 0 then begin
+            Atomic.set fanned_out true;
+            Unix.sleepf 0.001
+          end)
+        ()
+    in
+    let failing () =
+      Dag_exec.run ~pool ~num_tasks:2 ~in_degree:[| 0; 1 |]
+        ~successors:(fun id -> if id = 0 then [ 1 ] else [])
+        ~execute:(fun id ->
+          if id = 1 then begin
+            while not (Atomic.get fanned_out) do Domain.cpu_relax () done;
+            raise Boom
+          end)
+        ()
+    in
+    let outcome f () = match f () with () -> Ok () | exception e -> Error e in
+    let results = Array.make 2 (Ok ()) in
+    let threads =
+      Array.mapi
+        (fun i f -> Thread.create (fun () -> results.(i) <- outcome f ()) ())
+        [| healthy; failing |]
+    in
+    Array.iter Thread.join threads;
+    (match results.(0) with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "healthy run raised %s" (Printexc.to_string e));
+    (match results.(1) with
+    | Error Boom -> ()
+    | Ok () -> Alcotest.fail "failing run returned normally"
+    | Error e -> Alcotest.failf "failing run raised %s" (Printexc.to_string e));
+    Array.iteri
+      (fun id n -> Alcotest.(check int) (Printf.sprintf "task %d ran once" id) 1 n)
+      runs)
+
 let test_check_acyclic () =
   Alcotest.(check bool) "chain is acyclic" true
     (Dag_exec.check_acyclic ~num_tasks:5 ~successors:(fun id ->
@@ -239,27 +283,63 @@ let test_job_skips_after_failure () =
     Alcotest.(check int) "later tasks skipped" 0 (Atomic.get ran);
     Alcotest.(check int) "skips counted" 2 (Pool.job_skipped job))
 
-let test_job_settled_by_pool_cancellation () =
-  (* Deterministic on the serial pool: a plain submit fails first, and the
-     pool-wide fail-fast cancellation discards the two queued job thunks.
-     The job's accounting must settle anyway — before the fix this
-     join_job waited forever on a pending count nothing would ever
-     decrement. *)
-  Pool.with_pool ~num_workers:0 (fun pool ->
-    let ran = Atomic.make 0 in
-    let job = Pool.new_job pool in
-    Pool.submit pool (fun () -> raise Boom);
-    Pool.submit_job pool job (fun () -> Atomic.incr ran);
-    Pool.submit_job pool job (fun () -> Atomic.incr ran);
-    (match Pool.wait_idle pool with
-    | () -> Alcotest.fail "pool error not raised"
-    | exception Boom -> ());
-    Pool.join_job pool job;
-    Alcotest.(check int) "cancelled job thunks never ran" 0 (Atomic.get ran);
-    Alcotest.(check int) "cancelled thunks counted as skipped" 2
-      (Pool.job_skipped job);
-    Alcotest.(check int) "pool counted the cancellations" 2
-      (Pool.cancelled pool))
+(* A failed job's skipped thunks reach the [pool.cancelled] counter, and
+   the skips are narrated on the bus once for the job, not per thunk.  On
+   two workers the failing thunk holds its worker until the other three
+   are queued, while a thunk of another job holds the second worker, so
+   nothing can start them before the failure is recorded. *)
+let test_job_skips_counted () =
+  List.iter
+    (fun w ->
+      let reg = Metrics.create () in
+      let bus = Geomix_obs.Events.create () in
+      let ring = Geomix_obs.Events.ring bus in
+      let ran = Atomic.make 0 in
+      let job =
+        Pool.with_pool ~obs:reg ~bus ~num_workers:w (fun pool ->
+          let release = Atomic.make false and queued = Atomic.make false in
+          let blocker = Pool.new_job pool in
+          let blocked = Atomic.make (w = 0) in
+          if w > 0 then
+            Pool.submit_job pool blocker (fun () ->
+              Atomic.set blocked true;
+              while not (Atomic.get release) do Domain.cpu_relax () done);
+          while not (Atomic.get blocked) do Domain.cpu_relax () done;
+          let job = Pool.new_job pool in
+          Pool.submit_job pool job (fun () ->
+            while w > 0 && not (Atomic.get queued) do Domain.cpu_relax () done;
+            raise Boom);
+          for _ = 1 to 3 do
+            Pool.submit_job pool job (fun () -> Atomic.incr ran)
+          done;
+          Atomic.set queued true;
+          (match Pool.join_job pool job with
+          | () -> Alcotest.fail "failure not raised"
+          | exception Boom -> ());
+          Atomic.set release true;
+          Pool.join_job pool blocker;
+          job)
+      in
+      let cancelled =
+        match Metrics.find (Metrics.snapshot reg) "pool.cancelled" with
+        | Some (Metrics.Counter c) -> c
+        | _ -> Alcotest.fail "pool.cancelled missing"
+      in
+      let narrated =
+        List.filter_map
+          (fun e ->
+            if e.Geomix_obs.Events.name = "cancelled" then
+              List.assoc_opt "count" e.Geomix_obs.Events.fields
+            else None)
+          (Geomix_obs.Events.ring_events ring)
+      in
+      let label s = Printf.sprintf "%s (%d workers)" s w in
+      Alcotest.(check int) (label "queued thunks never ran") 0 (Atomic.get ran);
+      Alcotest.(check int) (label "job_skipped") 3 (Pool.job_skipped job);
+      Alcotest.(check int) (label "pool.cancelled") 3 cancelled;
+      Alcotest.(check bool) (label "one narration with the count") true
+        (narrated = [ Geomix_obs.Jsonlite.Num 3. ]))
+    [ 0; 2 ]
 
 let test_job_reusable_pool () =
   with_pools (fun pool ->
@@ -323,12 +403,6 @@ let test_job_concurrent_joiners () =
     Alcotest.(check (list int)) "both jobs complete" [ 25; 25 ]
       (Array.to_list totals))
 
-let prop_parallel_init_equals_serial =
-  QCheck.Test.make ~name:"parallel_init = Array.init" ~count:50 (QCheck.int_range 0 200)
-    (fun n ->
-      Pool.with_pool ~num_workers:2 (fun pool ->
-        Par.parallel_init ~pool n (fun i -> (i * 13) mod 7) = Array.init n (fun i -> (i * 13) mod 7)))
-
 let () =
   Alcotest.run "parallel"
     [
@@ -338,25 +412,17 @@ let () =
           Alcotest.test_case "nested submit" `Quick test_nested_submit;
           Alcotest.test_case "exceptions propagate" `Quick test_exception_propagates;
           Alcotest.test_case "raise stress" `Quick test_raise_stress;
-          Alcotest.test_case "wait idempotent" `Quick test_wait_idle_idempotent;
+          Alcotest.test_case "wait idempotent" `Quick test_join_idempotent;
         ] );
       ( "job",
         [
           Alcotest.test_case "completion" `Quick test_job_completion;
           Alcotest.test_case "failure isolated" `Quick test_job_failure_isolated;
           Alcotest.test_case "skips after failure" `Quick test_job_skips_after_failure;
-          Alcotest.test_case "settled by pool cancellation" `Quick
-            test_job_settled_by_pool_cancellation;
+          Alcotest.test_case "skipped thunks counted" `Quick test_job_skips_counted;
           Alcotest.test_case "pool reusable" `Quick test_job_reusable_pool;
           Alcotest.test_case "sequential reuse" `Quick test_job_sequential_reuse;
           Alcotest.test_case "concurrent joiners" `Quick test_job_concurrent_joiners;
-        ] );
-      ( "par",
-        [
-          Alcotest.test_case "parallel_for" `Quick test_parallel_for;
-          Alcotest.test_case "empty range" `Quick test_parallel_for_empty;
-          Alcotest.test_case "init/map" `Quick test_parallel_init_map;
-          QCheck_alcotest.to_alcotest prop_parallel_init_equals_serial;
         ] );
       ( "dag",
         [
@@ -365,6 +431,8 @@ let () =
             test_explorer_respects_dependencies;
           Alcotest.test_case "linear chain order" `Quick test_dag_exec_linear_chain_order;
           Alcotest.test_case "error propagation" `Quick test_dag_exec_error;
+          Alcotest.test_case "isolation without job" `Quick
+            test_dag_exec_isolation_without_job;
           Alcotest.test_case "acyclicity check" `Quick test_check_acyclic;
         ] );
     ]
