@@ -1,6 +1,6 @@
 # Convenience wrappers around dune; see TESTING.md for the test layers.
 
-.PHONY: all test check chaos report autotune serve serve-smoke serve-chaos top trace-smoke ooc ooc-crash verify-slow clean
+.PHONY: all test check chaos report autotune serve serve-smoke serve-chaos top trace-smoke ooc ooc-crash verify-slow ab clean
 
 all:
 	dune build @all
@@ -112,6 +112,16 @@ ooc-crash:
 # Exhaustive schedule enumeration — minutes-scale, out of tier-1.
 verify-slow:
 	dune build @verify-slow
+
+# Interleaved A/B of two committed revisions on the measured benchmark
+# (benchmark/ab.sh): PAIRS back-to-back run pairs, alternating which side
+# goes first, then one verdict per workload and end-to-end metric.
+PARENT ?= HEAD~1
+CHANGE ?= HEAD
+PAIRS ?= 10
+
+ab:
+	benchmark/ab.sh $(PARENT) $(CHANGE) $(PAIRS)
 
 clean:
 	dune clean

@@ -27,7 +27,7 @@ let () =
 
   (* The sampled-norm estimator scales the precision map to any order. *)
   let pmap =
-    Pm.of_element_fn ~u_req:1e-8 ~n ~nb (fun i j -> Covariance.element cov locs i j)
+    Pm.of_element_fn ~u_req:1e-8 ~n ~nb (Covariance.element cov locs)
   in
   Printf.printf "Tile precision composition at u_req = 1e-8 (the paper's 3D accuracy):\n";
   List.iter

@@ -22,8 +22,9 @@ let predict ~cov ~obs_locs ~z ~new_locs =
   let alpha = Blas.trsv_lower_trans ~l (Blas.trsv_lower ~l z) in
   let mean = Array.make m 0. and variance = Array.make m 0. in
   let c0 = Covariance.element cov new_locs 0 0 in
+  let c = Covariance.eval cov in
   for j = 0 to m - 1 do
-    let k = Array.init n (fun i -> Covariance.eval cov (cross_distance obs_locs i new_locs j)) in
+    let k = Array.init n (fun i -> c (cross_distance obs_locs i new_locs j)) in
     let mu = ref 0. in
     Array.iteri (fun i ki -> mu := !mu +. (ki *. alpha.(i))) k;
     mean.(j) <- !mu;

@@ -325,7 +325,14 @@ let validate_spec t (s : P.spec) =
   else if not (Float.is_finite s.P.nugget) || s.P.nugget < 0. then
     Error "nugget must be finite and non-negative"
   else if not (Float.is_finite s.P.nu) then Error "nu must be finite"
-  else Ok ()
+  else
+    (* The smoothness domain of each family, as its constructor asserts:
+       a value outside it must not reach [build_artifact]. *)
+    match s.P.family with
+    | Covariance.Matern when not (s.P.nu > 0.) -> Error "matern nu must be positive"
+    | Covariance.Powexp when not (s.P.nu > 0. && s.P.nu <= 2.) ->
+      Error "powexp nu must be in (0, 2]"
+    | Covariance.Sqexp | Covariance.Matern | Covariance.Powexp | Covariance.Spherical -> Ok ()
 
 let validate t = function
   | P.Ping | P.Health | P.Stats _ | P.Shutdown -> Ok ()

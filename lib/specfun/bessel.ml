@@ -3,6 +3,8 @@ let fpmin = 1e-300
 let maxit = 10000
 let xmin = 2.
 
+let domain_error () = invalid_arg "Bessel.bessel_ik: requires x > 0 and nu >= 0"
+
 (* (1/Γ(1-μ) - 1/Γ(1+μ)) / (2μ)  and  (1/Γ(1-μ) + 1/Γ(1+μ)) / 2,
    the Temme auxiliary functions; the direct formula is safe for
    |μ| ≥ 1e-6 and the μ→0 limit (-γ, 1) below that. *)
@@ -14,22 +16,40 @@ let temme_gammas mu =
     ((gammi -. gampl) /. (2. *. mu), (gammi +. gampl) /. 2.)
   end
 
-(* Temme's series for K_μ(x) and K_{μ+1}(x), x ≤ 2, |μ| ≤ 1/2. *)
-let temme_series ~mu x =
-  let x2 = x /. 2. in
+(* Everything K_ν needs that depends on ν alone: the recurrence count nl,
+   the reduced order μ = ν − nl ∈ [−½, ½), and Temme's πμ/sin πμ and
+   Γ-function pair with the two combinations the series starts from. *)
+type k_plan = {
+  nl : int;
+  mu : float;
+  fact : float;
+  gam1 : float;
+  gam2 : float;
+  gampl : float;
+  gammi : float;
+}
+
+let k_plan ~nu =
+  if nu < 0. || Float.is_nan nu then domain_error ();
+  let nl = int_of_float (nu +. 0.5) in
+  let mu = nu -. float_of_int nl in
   let pimu = Float.pi *. mu in
   let fact = if Float.abs pimu < eps then 1. else pimu /. sin pimu in
+  let gam1, gam2 = temme_gammas mu in
+  { nl; mu; fact; gam1; gam2; gampl = gam2 -. (mu *. gam1); gammi = gam2 +. (mu *. gam1) }
+
+(* Temme's series for K_μ(x) and K_{μ+1}(x), x < 2, |μ| ≤ 1/2. *)
+let temme_series plan x =
+  let mu = plan.mu in
+  let x2 = x /. 2. in
   let d = -.log x2 in
   let e = mu *. d in
   let fact2 = if Float.abs e < eps then 1. else sinh e /. e in
-  let gam1, gam2 = temme_gammas mu in
-  let gampl = gam2 -. (mu *. gam1) in
-  let gammi = gam2 +. (mu *. gam1) in
-  let ff = ref (fact *. ((gam1 *. cosh e) +. (gam2 *. fact2 *. d))) in
+  let ff = ref (plan.fact *. ((plan.gam1 *. cosh e) +. (plan.gam2 *. fact2 *. d))) in
   let sum = ref !ff in
   let e = exp e in
-  let p = ref (0.5 *. e /. gampl) in
-  let q = ref (0.5 /. (e *. gammi)) in
+  let p = ref (0.5 *. e /. plan.gampl) in
+  let q = ref (0.5 /. (e *. plan.gammi)) in
   let c = ref 1. in
   let d = x2 *. x2 in
   let sum1 = ref !p in
@@ -51,7 +71,7 @@ let temme_series ~mu x =
    with Exit -> ());
   (!sum, !sum1 *. 2. /. x)
 
-(* Steed's CF2 for K_μ(x) and K_{μ+1}(x), x > 2, |μ| ≤ 1/2. *)
+(* Steed's CF2 for K_μ(x) and K_{μ+1}(x), x ≥ 2, |μ| ≤ 1/2. *)
 let steed_cf2 ~mu x =
   let mu2 = mu *. mu in
   let b = ref (2. *. (1. +. x)) in
@@ -86,11 +106,27 @@ let steed_cf2 ~mu x =
   let rk1 = rkmu *. (mu +. x +. 0.5 -. h) /. x in
   (rkmu, rk1)
 
+(* (K_μ(x), K_{μ+1}(x)) at the reduced order. *)
+let k_mu plan x = if x < xmin then temme_series plan x else steed_cf2 ~mu:plan.mu x
+
+(* Upward recurrence in the order from (K_μ, K_{μ+1}) to K_ν. *)
+let k_up plan x (rkmu, rk1) =
+  let xi2 = 2. *. (1. /. x) in
+  let rkmu = ref rkmu and rk1 = ref rk1 in
+  for i = 1 to plan.nl do
+    let rktemp = ((plan.mu +. float_of_int i) *. xi2 *. !rk1) +. !rkmu in
+    rkmu := !rk1;
+    rk1 := rktemp
+  done;
+  !rkmu
+
+let k_eval plan x =
+  if not (x > 0.) then domain_error ();
+  k_up plan x (k_mu plan x)
+
 let bessel_ik ~nu x =
-  if not (x > 0.) || nu < 0. || Float.is_nan nu then
-    invalid_arg "Bessel.bessel_ik: requires x > 0 and nu >= 0";
-  let nl = int_of_float (nu +. 0.5) in
-  let mu = nu -. float_of_int nl in
+  if not (x > 0.) then domain_error ();
+  let plan = k_plan ~nu in
   let xi = 1. /. x in
   let xi2 = 2. *. xi in
   (* CF1 for I'_ν/I_ν. *)
@@ -112,29 +148,21 @@ let bessel_ik ~nu x =
   (* Downward recurrence from ν to μ on unnormalised I. *)
   let ril = ref fpmin in
   let ripl = ref (!h *. fpmin) in
-  let ril1 = !ril and rip1 = !ripl in
+  let ril1 = !ril in
   let fact = ref (nu *. xi) in
-  for _l = nl downto 1 do
+  for _l = plan.nl downto 1 do
     let ritemp = (!fact *. !ril) +. !ripl in
     fact := !fact -. xi;
     ripl := (!fact *. ritemp) +. !ril;
     ril := ritemp
   done;
   let f = !ripl /. !ril in
-  let rkmu, rk1 = if x < xmin then temme_series ~mu x else steed_cf2 ~mu x in
-  let rkmup = (mu *. xi *. rkmu) -. rk1 in
+  let ((rkmu, rk1) as k) = k_mu plan x in
+  let rkmup = (plan.mu *. xi *. rkmu) -. rk1 in
   (* Wronskian  I_μ K'_μ - I'_μ K_μ = -1/x  normalises I. *)
   let rimu = xi /. ((f *. rkmu) -. rkmup) in
-  let i_nu = rimu *. ril1 /. !ril in
-  ignore rip1;
-  let rkmu = ref rkmu and rk1 = ref rk1 in
-  for i = 1 to nl do
-    let rktemp = ((mu +. float_of_int i) *. xi2 *. !rk1) +. !rkmu in
-    rkmu := !rk1;
-    rk1 := rktemp
-  done;
-  (i_nu, !rkmu)
+  (rimu *. ril1 /. !ril, k_up plan x k)
 
-let bessel_k ~nu x = snd (bessel_ik ~nu x)
+let bessel_k ~nu x = k_eval (k_plan ~nu) x
 let bessel_i ~nu x = fst (bessel_ik ~nu x)
 let bessel_k_half x = sqrt (Float.pi /. (2. *. x)) *. exp (-.x)

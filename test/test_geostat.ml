@@ -166,13 +166,84 @@ let test_build_dense_spd () =
       Covariance.matern ~sigma2:1. ~beta:0.3 ~nu:1. ();
     ]
 
+(* Both builders and [element], fully and partially applied, agree bit
+   for bit for every family, on an even (48 = 3·16) and a ragged
+   (50 = 3·16 + 2) tiling.  [Tiled.to_dense] copies each diagonal tile
+   whole, so the upper halves the tiled builder mirrors are compared too:
+   the precision map's tile norms read them. *)
 let test_build_tiled_matches_dense () =
-  let r = rng () in
-  let locs = Locations.jittered_grid_2d ~rng:r ~n:48 in
-  let cov = Covariance.matern ~sigma2:1. ~beta:0.2 ~nu:0.8 () in
-  let d = Covariance.build_dense cov locs in
-  let t = Geomix_tile.Tiled.to_dense (Covariance.build_tiled cov locs ~nb:16) in
-  Alcotest.(check (float 0.)) "same matrix" 0. (Mat.rel_diff t ~reference:d)
+  let bits = Int64.bits_of_float in
+  let covs =
+    List.concat_map
+      (fun nu ->
+        [
+          ( Printf.sprintf "matern nu=%g" nu,
+            Covariance.matern ~sigma2:1.3 ~beta:0.2 ~nu () );
+          ( Printf.sprintf "powexp nu=%g" nu,
+            Covariance.powexp ~sigma2:1.3 ~beta:0.2 ~power:nu () );
+        ])
+      [ 0.4; 0.5; 0.8; 1.0; 1.5 ]
+    @ [
+        ("sqexp", Covariance.sqexp ~sigma2:0.7 ~beta:0.05 ());
+        ("spherical", Covariance.spherical ~sigma2:0.7 ~beta:0.3 ());
+      ]
+  in
+  List.iter
+    (fun n ->
+      let locs = Locations.jittered_grid_2d ~rng:(rng ()) ~n in
+      List.iter
+        (fun (name, cov) ->
+          let d = Covariance.build_dense cov locs in
+          let t = Geomix_tile.Tiled.to_dense (Covariance.build_tiled cov locs ~nb:16) in
+          let el = Covariance.element cov locs in
+          let mismatches = ref [] in
+          for j = 0 to n - 1 do
+            for i = 0 to n - 1 do
+              let v = bits (Covariance.element cov locs i j) in
+              if
+                bits (Mat.get d i j) <> v
+                || bits (Mat.get t i j) <> v
+                || bits (el i j) <> v
+              then mismatches := (i, j) :: !mismatches
+            done
+          done;
+          Alcotest.(check (list (pair int int)))
+            (Printf.sprintf "%s n=%d: entries differing between builders" name n)
+            [] !mismatches)
+        covs)
+    [ 48; 50 ]
+
+let test_matern_reference_bits () =
+  (* Reference bit patterns of a Matérn covariance with ν off the ½ fast
+     path: the assembly is held to a bitwise contract. *)
+  let c = Covariance.matern ~sigma2:1.3 ~beta:0.1 ~nu:0.63 () in
+  List.iter
+    (fun (h, b) ->
+      Alcotest.(check int64) (Printf.sprintf "matern C(%g) bits" h) b
+        (Int64.bits_of_float (Covariance.eval c h)))
+    [
+      (0., 0x3ff4cccccccccccdL);
+      (0.01, 0x3ff3a901ea61913bL);
+      (0.15, 0x3fd720ad29c2c373L);
+      (0.2, 0x3fcce34cd581b12bL);
+      (0.7, 0x3f5cba5c3d94673aL);
+      (3., 0x3d4e5f04da7d22c0L);
+    ];
+  (* And the MD5 of six tiled 50 × 50 Matérn matrices' bits. *)
+  let locs = Locations.jittered_grid_2d ~rng:(rng ()) ~n:50 in
+  let b = Buffer.create (8 * 6 * 2500) in
+  List.iter
+    (fun nu ->
+      let cov = Covariance.matern ~sigma2:1.3 ~beta:0.2 ~nu () in
+      let d = Geomix_tile.Tiled.to_dense (Covariance.build_tiled cov locs ~nb:16) in
+      for j = 0 to 49 do
+        for i = 0 to 49 do
+          Buffer.add_int64_le b (Int64.bits_of_float (Mat.get d i j))
+        done
+      done)
+    [ 0.4; 0.63; 0.8; 1.0; 1.5; 2.2 ];
+  Alcotest.(check string) "matrix digest" "6cf95bf0b90c93dbd6f1920fccb9fdb2"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
 
 let test_theta_roundtrip () =
   let c = Covariance.matern ~sigma2:1.2 ~beta:0.4 ~nu:0.9 () in
@@ -268,6 +339,7 @@ let () =
           Alcotest.test_case "nugget" `Quick test_element_nugget;
           Alcotest.test_case "dense SPD" `Quick test_build_dense_spd;
           Alcotest.test_case "tiled = dense" `Quick test_build_tiled_matches_dense;
+          Alcotest.test_case "matern reference bits" `Quick test_matern_reference_bits;
           Alcotest.test_case "theta roundtrip" `Quick test_theta_roundtrip;
         ] );
       ( "field",

@@ -531,6 +531,11 @@ let test_validation () =
       expect_bad (P.Likelihood { (spec ()) with P.nb = 100; n = 10 });
       expect_bad (P.Likelihood { (spec ()) with P.u_req = 0.0 });
       expect_bad (P.Likelihood { (spec ()) with P.sigma2 = nan });
+      (* A smoothness outside the family's domain is a client error, not
+         an assertion failure inside the artifact build. *)
+      expect_bad (P.Likelihood { (spec ~family:Covariance.Matern ()) with P.nu = 0. });
+      expect_bad (P.Likelihood { (spec ~family:Covariance.Matern ()) with P.nu = -1. });
+      expect_bad (P.Likelihood { (spec ~family:Covariance.Powexp ()) with P.nu = 3. });
       expect_bad (P.Predict { spec = spec (); n_new = 0; pred_seed = 1 });
       expect_bad (P.Mc_batch { spec = spec (); replicates = 0 }))
 

@@ -106,6 +106,77 @@ let prop_k_decreasing_in_x =
       let lo = Float.min a b and hi = Float.max a b in
       lo = hi || Bessel.bessel_k ~nu lo >= Bessel.bessel_k ~nu hi)
 
+(* {2 The K-only evaluator}
+
+   [bessel_k] and [k_eval] compute K_ν without I_ν; [bessel_ik] computes
+   both.  They must agree bit for bit.  The grid covers every branch:
+   integer ν (the |μ| < 1e-6 limit of Temme's Γ pair), half-integer ν
+   (nl rounds up, μ = −½), fractional ν in [0.25, 2.5], and x log-spaced
+   over [1e-3, 30] plus both neighbours of the Temme/CF2 switch at x = 2
+   and 2 itself. *)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let test_k_only_bitwise () =
+  let nus = [ 0.; 1.; 2.; 0.5; 1.5; 2.5; 0.25; 0.4; 0.6; 0.8; 1.25; 1.9; 2.2 ] in
+  let xs =
+    [ Float.pred 2.; 2.; Float.succ 2. ]
+    @ List.init 241 (fun i -> 1e-3 *. Float.pow 10. (float_of_int i *. log10 3e4 /. 240.))
+  in
+  let mismatches = ref [] in
+  List.iter
+    (fun nu ->
+      let plan = Bessel.k_plan ~nu in
+      List.iter
+        (fun x ->
+          let k = snd (Bessel.bessel_ik ~nu x) in
+          if not (same_bits k (Bessel.bessel_k ~nu x) && same_bits k (Bessel.k_eval plan x))
+          then mismatches := (nu, x) :: !mismatches)
+        xs)
+    nus;
+  Alcotest.(check (list (pair (float 0.) (float 0.)))) "(nu, x) where K-only differs" []
+    !mismatches
+
+(* Reference bit patterns of K_ν.  The covariance matrices built on it
+   are held to a bitwise contract across changes to this evaluator, so any
+   change to its operations must show here. *)
+let test_k_reference_bits () =
+  List.iter
+    (fun (nu, x, b) ->
+      Alcotest.(check int64) (Printf.sprintf "K_%g(%g) bits" nu x) b
+        (Int64.bits_of_float (Bessel.bessel_k ~nu x)))
+    [
+      (0., 0.5, 0x3fed94d74dd716aeL);
+      (1., 2., 0x3fc1e7200e1d3486L);
+      (2., 30., 0x3d19a2fc420e6e85L);
+      (0.5, 1., 0x3fdd822578f46ff3L);
+      (1.5, 2., 0x3fc7072e6e1e528dL);
+      (2.5, 1e-3, 0x419c59115c7239d3L);
+      (0.25, 1.999, 0x3fbd92c3acb6cc43L);
+      (0.4, 5., 0x3f6eaf1ebbbf9a95L);
+      (0.8, 0.05, 0x402609aa9764e7b1L);
+      (0.63, 10., 0x3ef3000fb219b9f1L);
+      (1.2, 2.000001, 0x3fc392dfa334f7c3L);
+      (2., 0.7, 0x400d4a675ccc527cL);
+    ];
+  (* And the MD5 of K_ν's bits over a 10 × 3000 grid, x ∈ [0.01, 30]. *)
+  let b = Buffer.create (8 * 30_000) in
+  List.iter
+    (fun nu ->
+      for i = 1 to 3000 do
+        Buffer.add_int64_le b (Int64.bits_of_float (Bessel.bessel_k ~nu (float_of_int i *. 1e-2)))
+      done)
+    [ 0.; 0.25; 0.4; 0.5; 0.6; 0.8; 1.; 1.5; 2.; 2.5 ];
+  Alcotest.(check string) "grid digest" "aecbd4f00fcd45846c358b9865a98107"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+let prop_k_only_bitwise =
+  QCheck.Test.make ~name:"K-only K_ν bitwise equal to bessel_ik's" ~count:500
+    QCheck.(pair (float_range 0.25 2.5) (float_range 1e-3 30.))
+    (fun (nu, x) ->
+      let k = snd (Bessel.bessel_ik ~nu x) in
+      same_bits k (Bessel.bessel_k ~nu x) && same_bits k (Bessel.k_eval (Bessel.k_plan ~nu) x))
+
 let () =
   Alcotest.run "specfun"
     [
@@ -125,7 +196,10 @@ let () =
           Alcotest.test_case "wronskian" `Quick test_bessel_wronskian;
           Alcotest.test_case "domain errors" `Quick test_bessel_domain;
           Alcotest.test_case "positive decreasing" `Quick test_bessel_k_positive_decreasing;
+          Alcotest.test_case "K-only bitwise grid" `Quick test_k_only_bitwise;
+          Alcotest.test_case "K reference bits" `Quick test_k_reference_bits;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_wronskian; prop_k_decreasing_in_x ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_wronskian; prop_k_decreasing_in_x; prop_k_only_bitwise ] );
     ]
