@@ -1,6 +1,6 @@
 # Convenience wrappers around dune; see TESTING.md for the test layers.
 
-.PHONY: all test check chaos report autotune serve serve-smoke serve-chaos top trace-smoke ooc ooc-crash verify-slow ab clean
+.PHONY: all test check chaos report autotune serve serve-smoke serve-chaos top trace-smoke ooc ooc-crash verify-slow ab ledger clean
 
 all:
 	dune build @all
@@ -122,6 +122,17 @@ PAIRS ?= 10
 
 ab:
 	benchmark/ab.sh $(PARENT) $(CHANGE) $(PAIRS)
+
+# The traced per-layer ledger of one benchmark workload: half the window
+# untraced, half traced over the same ops, then every per-layer row
+# (geostat.assemble_ms, core.factorize_ms, ...).  Speed claims cite it.
+WORKLOAD ?= lik_coarse
+SEED ?= 1
+SECONDS ?= 10
+
+ledger:
+	dune exec --root . ./benchmark/main.exe -- --workload $(WORKLOAD) --seed $(SEED) \
+	  --seconds $(SECONDS) --trace 1
 
 clean:
 	dune clean

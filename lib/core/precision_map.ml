@@ -2,16 +2,25 @@ module Fpformat = Geomix_precision.Fpformat
 module Tiled = Geomix_tile.Tiled
 module Heatmap = Geomix_util.Heatmap
 
-type t = { nt : int; u_req : float; prec : Fpformat.t array }
+(* One byte per lower tile, the format's index in [Fpformat.all]: callers
+   that log a map per likelihood evaluation keep many of them. *)
+type t = { nt : int; u_req : float; prec : Bytes.t }
 
 let pidx i j = (i * (i + 1) / 2) + j
+let formats = Array.of_list Fpformat.all
+
+let code p =
+  let rec go i = if formats.(i) = p then Char.chr i else go (i + 1) in
+  go 0
+
+let make ~nt p = Bytes.make (nt * (nt + 1) / 2) (code p)
 
 let nt t = t.nt
 let u_req t = t.u_req
 
 let get t i j =
   assert (i >= j && j >= 0 && i < t.nt);
-  t.prec.(pidx i j)
+  formats.(Char.code (Bytes.get t.prec (pidx i j)))
 
 let storage t i j = Fpformat.storage_scalar (get t i j)
 
@@ -29,11 +38,11 @@ let select ~cands ~u_req ratio =
 let of_tile_norms ?(chain = Fpformat.framework_chain) ~u_req ~nt ~global_norm tile_norm =
   assert (nt > 0 && u_req > 0. && global_norm > 0.);
   let cands = candidates chain in
-  let prec = Array.make (nt * (nt + 1) / 2) Fpformat.Fp64 in
+  let prec = make ~nt Fpformat.Fp64 in
   for i = 0 to nt - 1 do
     for j = 0 to i - 1 do
       let ratio = tile_norm i j *. float_of_int nt /. global_norm in
-      prec.(pidx i j) <- select ~cands ~u_req ratio
+      Bytes.set prec (pidx i j) (code (select ~cands ~u_req ratio))
     done
   done;
   { nt; u_req; prec }
@@ -79,20 +88,20 @@ let of_element_fn ?chain ?(samples_per_tile = 64) ~u_req ~n ~nb element =
    use this to build adversarial/random kernel-precision maps. *)
 let of_fn ~nt f =
   assert (nt > 0);
-  let prec = Array.make (nt * (nt + 1) / 2) Fpformat.Fp64 in
+  let prec = make ~nt Fpformat.Fp64 in
   for i = 0 to nt - 1 do
     for j = 0 to i do
-      prec.(pidx i j) <- f i j
+      Bytes.set prec (pidx i j) (code (f i j))
     done
   done;
   { nt; u_req = nan; prec }
 
-let uniform ~nt p = { nt; u_req = nan; prec = Array.make (nt * (nt + 1) / 2) p }
+let uniform ~nt p = { nt; u_req = nan; prec = make ~nt p }
 
 let two_level ~nt ~off_diag =
   let t = uniform ~nt off_diag in
   for k = 0 to nt - 1 do
-    t.prec.(pidx k k) <- Fpformat.Fp64
+    Bytes.set t.prec (pidx k k) (code Fpformat.Fp64)
   done;
   t
 
@@ -101,22 +110,26 @@ let two_level ~nt ~off_diag =
    the rest of the map — and the u_req it was built for — untouched. *)
 let escalate_band t k =
   assert (k >= 0 && k < t.nt);
-  let prec = Array.copy t.prec in
+  let prec = Bytes.copy t.prec in
+  let fp64 = code Fpformat.Fp64 in
   for j = 0 to k do
-    prec.(pidx k j) <- Fpformat.Fp64
+    Bytes.set prec (pidx k j) fp64
   done;
   for i = k to t.nt - 1 do
-    prec.(pidx i k) <- Fpformat.Fp64
+    Bytes.set prec (pidx i k) fp64
   done;
   { t with prec }
 
-let all_fp64 t = Array.for_all (fun p -> p = Fpformat.Fp64) t.prec
+let all_fp64 t =
+  let fp64 = code Fpformat.Fp64 in
+  Bytes.for_all (fun c -> c = fp64) t.prec
 
 let fractions t =
-  let total = float_of_int (Array.length t.prec) in
+  let total = float_of_int (Bytes.length t.prec) in
   Fpformat.all
   |> List.filter_map (fun p ->
-       let c = Array.fold_left (fun acc q -> if q = p then acc + 1 else acc) 0 t.prec in
+       let cp = code p in
+       let c = Bytes.fold_left (fun acc q -> if q = cp then acc + 1 else acc) 0 t.prec in
        if c = 0 then None else Some (p, float_of_int c /. total))
 
 let render t =
@@ -129,12 +142,5 @@ let render t =
       [ '6'; '3'; 't'; 'h'; 'b'; '1' ]
   in
   let hm = Heatmap.create ~nt:t.nt ~categories:cats in
-  let index_of p =
-    let rec go i = function
-      | [] -> assert false
-      | q :: rest -> if q = p then i else go (i + 1) rest
-    in
-    go 0 Fpformat.all
-  in
   Heatmap.render hm ~cell:(fun ~row ~col ->
-    if col > row then None else Some (index_of (get t row col)))
+    if col > row then None else Some (Char.code (Bytes.get t.prec (pidx row col))))

@@ -29,7 +29,12 @@ val default_nugget : float
     matrices positive definite at reduced n. *)
 
 val sqexp : ?nugget:float -> sigma2:float -> beta:float -> unit -> t
+(** Every constructor raises [Invalid_argument] naming the parameter
+    unless [sigma2 > 0], [beta > 0] and the family's smoothness domain
+    holds. *)
+
 val matern : ?nugget:float -> sigma2:float -> beta:float -> nu:float -> unit -> t
+(** Smoothness [nu > 0]. *)
 
 val powexp : ?nugget:float -> sigma2:float -> beta:float -> power:float -> unit -> t
 (** [power] ∈ (0, 2]; [power = 2] coincides with {!sqexp} at range β²,
@@ -43,13 +48,24 @@ val spherical : ?nugget:float -> sigma2:float -> beta:float -> unit -> t
 
     Every evaluation goes through one per-θ kernel: the covariance with
     what depends on θ alone computed once.  For a Matérn with ν ≠ ½ that
-    is the normaliser [2^{1−ν}/Γ(ν)] and the {!Geomix_specfun.Bessel.k_plan};
-    each entry then pays one [K_ν] evaluation and no Γ call.  [eval],
-    [element] and both builders evaluate the same expressions in the same
-    order, so they agree bit for bit with one another; the test suites pin
-    reference bit patterns of the entries.  A Matérn smoothness [ν < 0]
-    (only reachable by building the record directly) raises
-    [Invalid_argument] when the kernel is built. *)
+    is σ²·[2^{1−ν}/Γ(ν)], the {!Geomix_specfun.Bessel.k_plan} and, for
+    ν ≤ 4, a Chebyshev fit of [g(x) = √x·eˣ·K_ν(x)] on x = h/β ≥ 2
+    (4 pieces × 12 coefficients in 8/x, fitted at nodes from
+    {!Geomix_specfun.Bessel.k_scaled}); each entry then pays no Γ call.
+    [eval], [element] and both builders evaluate the same expressions in
+    the same order, so they agree bit for bit with one another.
+
+    The numeric contract against the reference
+    σ²·(2^{1−ν}/Γ(ν))·x^ν·{!Geomix_specfun.Bessel.bessel_k}:
+    - bitwise for x < 2 (Temme through [k_eval]), for ν > 4 (Steed's CF2,
+      where the fit's error would grow), for ν = ½ (the exponential) and
+      for the other three families;
+    - within 1e-13 relative for x ≥ 2 at ν ≤ 4, wherever the reference is
+      a normal float: the entry is σ²·norm·x^{ν−½}·e^{−x}·g(x) with g from
+      the fit (measured worst 4e-15).
+    Entries that underflow at huge x are 0.  The constructors and
+    {!with_theta} raise [Invalid_argument] naming the parameter when σ² or
+    β is not positive or ν is outside the family's domain (NaN included). *)
 
 val eval : t -> float -> float
 (** Covariance at distance [h ≥ 0] (without the nugget).  Staged:
@@ -76,4 +92,7 @@ val theta : t -> float array
 (** Parameter vector: [[σ²; β]] for [Sqexp], [[σ²; β; ν]] for [Matern]. *)
 
 val with_theta : t -> float array -> t
-(** Same family/nugget, new parameter vector. *)
+(** Same family/nugget, new parameter vector, checked as the constructors
+    check theirs.
+    @raise Invalid_argument on a wrong parameter count or an
+    out-of-domain parameter. *)

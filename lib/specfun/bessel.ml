@@ -71,8 +71,10 @@ let temme_series plan x =
    with Exit -> ());
   (!sum, !sum1 *. 2. /. x)
 
-(* Steed's CF2 for K_μ(x) and K_{μ+1}(x), x ≥ 2, |μ| ≤ 1/2. *)
-let steed_cf2 ~mu x =
+(* Steed's CF2, x ≥ 2, |μ| ≤ 1/2: the continued-fraction sum s and the
+   ratio term h, from which K_μ(x) = √(π/2x)·e^{−x}/s and
+   K_{μ+1}(x) = K_μ(x)·(μ + x + ½ − h)/x. *)
+let cf2 ~mu x =
   let mu2 = mu *. mu in
   let b = ref (2. *. (1. +. x)) in
   let d = ref (1. /. !b) in
@@ -101,8 +103,12 @@ let steed_cf2 ~mu x =
      done;
      invalid_arg "Bessel: CF2 failed to converge"
    with Exit -> ());
-  let h = a1 *. !h in
-  let rkmu = sqrt (Float.pi /. (2. *. x)) *. exp (-.x) /. !s in
+  (!s, a1 *. !h)
+
+(* (K_μ(x), K_{μ+1}(x)) from CF2. *)
+let steed_cf2 ~mu x =
+  let s, h = cf2 ~mu x in
+  let rkmu = sqrt (Float.pi /. (2. *. x)) *. exp (-.x) /. s in
   let rk1 = rkmu *. (mu +. x +. 0.5 -. h) /. x in
   (rkmu, rk1)
 
@@ -123,6 +129,16 @@ let k_up plan x (rkmu, rk1) =
 let k_eval plan x =
   if not (x > 0.) then domain_error ();
   k_up plan x (k_mu plan x)
+
+(* The same CF2 and recurrence with K_μ scaled by √x·eˣ: the recurrence is
+   linear, so the result is √x·eˣ·K_ν(x). *)
+let k_scaled plan x =
+  if not (x >= xmin && Float.is_finite x) then
+    invalid_arg "Bessel.k_scaled: requires finite x >= 2";
+  let mu = plan.mu in
+  let s, h = cf2 ~mu x in
+  let rkmu = sqrt (Float.pi /. 2.) /. s in
+  k_up plan x (rkmu, rkmu *. (mu +. x +. 0.5 -. h) /. x)
 
 let bessel_ik ~nu x =
   if not (x > 0.) then domain_error ();

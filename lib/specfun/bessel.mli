@@ -7,7 +7,10 @@
     then upward recurrence in the order.  [I_ν] additionally runs CF1 for
     the [I] ratio, a downward recurrence and the Wronskian normalisation;
     [K_ν] alone needs none of those.  Accuracy is ~1e-13 relative over the
-    ranges the covariance evaluates. *)
+    ranges the covariance evaluates.  {!k_eval} and {!bessel_k} are the
+    reference the Matérn covariance's error band is stated against; their
+    bits are pinned and did not change when {!k_scaled} was split off the
+    same CF2 core. *)
 
 type k_plan
 (** The part of [K_ν] that depends on ν alone, computed once: the
@@ -24,6 +27,16 @@ val k_eval : k_plan -> float -> float
     upward recurrence.  It is bitwise equal to [snd (bessel_ik ~nu x)],
     which computes [K_ν] with the same operations.
     @raise Invalid_argument if [x ≤ 0] or [x] is NaN. *)
+
+val k_scaled : k_plan -> float -> float
+(** [k_scaled (k_plan ~nu) x] is the exponent-scaled [√x·eˣ·K_ν(x)] for
+    finite [x ≥ 2]: the same CF2 and upward recurrence as {!k_eval}
+    without the [√(π/2x)·e^{−x}] factor, so it stays of order one where
+    [K_ν] itself underflows (x ≳ 700).  It tends to [√(π/2)] as [x → ∞].
+    The Matérn covariance fits a Chebyshev series to it per ν.
+    [k_scaled plan x ·. exp (-. x) /. sqrt x] is within a few ulp of
+    [k_eval plan x].
+    @raise Invalid_argument if [x < 2], [x] is infinite or NaN. *)
 
 val bessel_ik : nu:float -> float -> float * float
 (** [bessel_ik ~nu x] is [(I_ν(x), K_ν(x))] for [nu ≥ 0] and [x > 0].

@@ -6,6 +6,12 @@ module Mat = Geomix_linalg.Mat
 module Blas = Geomix_linalg.Blas
 module Stats = Geomix_util.Stats
 module Rng = Geomix_util.Rng
+module Gamma = Geomix_specfun.Gamma
+module Bessel = Geomix_specfun.Bessel
+module Tiled = Geomix_tile.Tiled
+module Precision_map = Geomix_core.Precision_map
+module Mp_cholesky = Geomix_core.Mp_cholesky
+module Likelihood = Geomix_geostat.Likelihood
 
 let rng () = Rng.create ~seed:31
 
@@ -213,37 +219,156 @@ let test_build_tiled_matches_dense () =
         covs)
     [ 48; 50 ]
 
+(* {2 The Matérn contract}
+
+   The pinned reference is σ²·(2^{1−ν}/Γ(ν))·x^ν·K_ν(x) with x = h/β and
+   K_ν from Steed's [Bessel.bessel_k]: the covariance's own expression
+   before the Chebyshev fit.  Entries with x < 2 (Temme) and entries at
+   ν above the fit's cap must equal it bit for bit; entries with x ≥ 2 at
+   ν ≤ the cap come from the fit and must be within [band] relative of it
+   wherever the reference is a normal float. *)
+
+let band = 1e-13
+let fit_nu_cap = 4.
+
+let matern_reference ~sigma2 ~beta ~nu h =
+  if h = 0. then sigma2
+  else
+    let x = h /. beta in
+    sigma2 *. (Float.exp2 (1. -. nu) /. Gamma.gamma nu) *. Float.pow x nu *. Bessel.bessel_k ~nu x
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let within_contract ~sigma2 ~beta ~nu h v =
+  let r = matern_reference ~sigma2 ~beta ~nu h in
+  if h /. beta < 2. || nu > fit_nu_cap then same_bits v r
+  else Float.abs r < Float.min_float || Float.abs (v -. r) <= band *. Float.abs r
+
+(* ν from 0.01 to the cap (integer, half-integer and fractional) plus two
+   orders above it; x log-spaced over [1e-3, 2) and [2, 700] with both
+   neighbours of 2.  β = 1/8 makes h = x/8 and h/β = x exact. *)
+let test_matern_error_band () =
+  let sigma2 = 1.3 and beta = 0.125 in
+  let nus =
+    [ 0.01; 0.05; 0.1; 0.25; 0.4; 0.63; 0.99; 1.; 1.01; 1.5; 2.; 2.2; 2.5; 3.; 3.5; 3.99; 4.;
+      4.5; 6. ]
+  in
+  let xs =
+    [ Float.pred 2.; 2.; Float.succ 2.; 700. ]
+    @ List.init 100 (fun i -> 1e-3 *. Float.pow 2e3 (float_of_int i /. 100.))
+    @ List.init 400 (fun i -> 2. *. Float.pow 350. (float_of_int i /. 400.))
+  in
+  let misses =
+    List.concat_map
+      (fun nu ->
+        let c = Covariance.eval (Covariance.matern ~sigma2 ~beta ~nu ()) in
+        List.filter_map
+          (fun x ->
+            let h = x *. beta in
+            if within_contract ~sigma2 ~beta ~nu h (c h) then None else Some (nu, x))
+          xs)
+      nus
+  in
+  Alcotest.(check (list (pair (float 0.) (float 0.))))
+    "(nu, x) where a Matérn entry breaks its contract" [] misses
+
+let prop_matern_error_band =
+  QCheck.Test.make ~name:"Matérn entries at x >= 2 within 1e-13 of the reference" ~count:500
+    QCheck.(pair (float_range 0.01 fit_nu_cap) (float_range 2. 700.))
+    (fun (nu, x) ->
+      let beta = 0.125 in
+      let h = x *. beta in
+      let c = Covariance.matern ~sigma2:1. ~beta ~nu () in
+      within_contract ~sigma2:1. ~beta ~nu h (Covariance.eval c h))
+
 let test_matern_reference_bits () =
   (* Reference bit patterns of a Matérn covariance with ν off the ½ fast
-     path: the assembly is held to a bitwise contract. *)
-  let c = Covariance.matern ~sigma2:1.3 ~beta:0.1 ~nu:0.63 () in
+     path at x < 2, where the contract is bitwise; the entries at x ≥ 2
+     come from the fit and are held to the band. *)
+  let sigma2 = 1.3 and beta = 0.1 and nu = 0.63 in
+  let c = Covariance.matern ~sigma2 ~beta ~nu () in
   List.iter
     (fun (h, b) ->
       Alcotest.(check int64) (Printf.sprintf "matern C(%g) bits" h) b
         (Int64.bits_of_float (Covariance.eval c h)))
-    [
-      (0., 0x3ff4cccccccccccdL);
-      (0.01, 0x3ff3a901ea61913bL);
-      (0.15, 0x3fd720ad29c2c373L);
-      (0.2, 0x3fcce34cd581b12bL);
-      (0.7, 0x3f5cba5c3d94673aL);
-      (3., 0x3d4e5f04da7d22c0L);
-    ];
-  (* And the MD5 of six tiled 50 × 50 Matérn matrices' bits. *)
+    [ (0., 0x3ff4cccccccccccdL); (0.01, 0x3ff3a901ea61913bL); (0.15, 0x3fd720ad29c2c373L) ];
+  List.iter
+    (fun h ->
+      Alcotest.(check bool) (Printf.sprintf "matern C(%g) within the band" h) true
+        (within_contract ~sigma2 ~beta ~nu h (Covariance.eval c h)))
+    [ 0.2; 0.7; 3. ];
+  (* And the MD5 of six tiled 50 × 50 Matérn matrices' bits, each entry
+     also held to its contract. *)
   let locs = Locations.jittered_grid_2d ~rng:(rng ()) ~n:50 in
   let b = Buffer.create (8 * 6 * 2500) in
+  let misses = ref [] in
   List.iter
     (fun nu ->
-      let cov = Covariance.matern ~sigma2:1.3 ~beta:0.2 ~nu () in
-      let d = Geomix_tile.Tiled.to_dense (Covariance.build_tiled cov locs ~nb:16) in
+      let sigma2 = 1.3 and beta = 0.2 in
+      let cov = Covariance.matern ~sigma2 ~beta ~nu () in
+      let d = Tiled.to_dense (Covariance.build_tiled cov locs ~nb:16) in
       for j = 0 to 49 do
         for i = 0 to 49 do
-          Buffer.add_int64_le b (Int64.bits_of_float (Mat.get d i j))
+          let v = Mat.get d i j in
+          Buffer.add_int64_le b (Int64.bits_of_float v);
+          let ok =
+            if i = j then same_bits v (sigma2 +. cov.Covariance.nugget)
+            else within_contract ~sigma2 ~beta ~nu (Locations.distance locs i j) v
+          in
+          if not ok then misses := (nu, i, j) :: !misses
         done
       done)
     [ 0.4; 0.63; 0.8; 1.0; 1.5; 2.2 ];
-  Alcotest.(check string) "matrix digest" "6cf95bf0b90c93dbd6f1920fccb9fdb2"
+  Alcotest.(check (list (triple (float 0.) int int))) "entries breaking the contract" []
+    !misses;
+  Alcotest.(check string) "matrix digest" "919feac5831dcfab9fb87c3cd30b6e73"
     (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* The fit must not move what the paper's method decides: for 40 θ drawn
+   like the benchmark's (log-uniform σ² ∈ [0.5, 2], β ∈ [0.05, 0.2],
+   ν ∈ [0.4, 0.8]) the precision map of [build_tiled] equals the map of
+   the same matrix built from the Steed reference, and the mixed-precision
+   log-likelihoods agree to 1e-10 relative. *)
+let test_fit_keeps_precision_maps () =
+  let n = 256 and nb = 32 and u_req = 1e-6 in
+  let r = Rng.create ~seed:5 in
+  let locs = Locations.morton_sort (Locations.jittered_grid_2d ~rng:r ~n) in
+  let z = Field.synthesize ~rng:r ~cov:(Covariance.matern ~sigma2:1. ~beta:0.1 ~nu:0.5 ()) locs in
+  let loglik pmap a =
+    Mp_cholesky.factorize ~pmap a;
+    let y = Mp_cholesky.solve_lower a z in
+    let quad_form = Array.fold_left (fun acc v -> acc +. (v *. v)) 0. y in
+    (Likelihood.assemble ~n ~log_det:(Mp_cholesky.log_det a) ~quad_form
+       ~precision_fractions:[] ())
+      .Likelihood.loglik
+  in
+  let log_uniform lo hi = exp (log lo +. (Rng.float r *. (log hi -. log lo))) in
+  for k = 1 to 40 do
+    let sigma2 = log_uniform 0.5 2. in
+    let beta = log_uniform 0.05 0.2 in
+    let nu = log_uniform 0.4 0.8 in
+    let cov = Covariance.matern ~sigma2 ~beta ~nu () in
+    let a = Covariance.build_tiled cov locs ~nb in
+    let reference =
+      Tiled.init ~n ~nb (fun i j ->
+        if i = j then sigma2 +. cov.Covariance.nugget
+        else matern_reference ~sigma2 ~beta ~nu (Locations.distance locs i j))
+    in
+    let pa = Precision_map.of_tiled ~u_req a in
+    let pr = Precision_map.of_tiled ~u_req reference in
+    for i = 0 to Precision_map.nt pa - 1 do
+      for j = 0 to i do
+        if Precision_map.get pa i j <> Precision_map.get pr i j then
+          Alcotest.failf "theta %d (%g, %g, %g): tile (%d, %d) precision differs" k sigma2
+            beta nu i j
+      done
+    done;
+    let la = loglik pa a and lr = loglik pr reference in
+    let rel = Float.abs (la -. lr) /. Float.abs lr in
+    if not (rel <= 1e-10) then
+      Alcotest.failf "theta %d (%g, %g, %g): loglik %.17g vs %.17g (rel %g)" k sigma2 beta nu
+        la lr rel
+  done
 
 let test_theta_roundtrip () =
   let c = Covariance.matern ~sigma2:1.2 ~beta:0.4 ~nu:0.9 () in
@@ -251,7 +376,34 @@ let test_theta_roundtrip () =
   Alcotest.(check (array (float 0.))) "updated" [| 0.8; 0.2; 1.1 |] (Covariance.theta c');
   Alcotest.check_raises "arity enforced"
     (Invalid_argument "Covariance.with_theta: wrong parameter count") (fun () ->
-    ignore (Covariance.with_theta c [| 1. |]))
+    ignore (Covariance.with_theta c [| 1. |]));
+  (* The constructors' domain checks hold for a new parameter vector too. *)
+  let m = Covariance.matern ~sigma2:1. ~beta:0.3 ~nu:0.6 () in
+  List.iter
+    (fun (theta, what) ->
+      Alcotest.check_raises
+        (Printf.sprintf "with_theta rejects %s" what)
+        (Invalid_argument ("Covariance: " ^ what))
+        (fun () -> ignore (Covariance.with_theta m theta)))
+    [
+      ([| 1.; -0.1; 0.6 |], "beta must be > 0");
+      ([| 1.; 0.3; 0. |], "nu must be > 0");
+      ([| -1.; 0.3; 0.6 |], "sigma2 must be > 0");
+      ([| nan; 0.3; 0.6 |], "sigma2 must be > 0");
+    ];
+  let p = Covariance.powexp ~sigma2:1. ~beta:0.3 ~power:1.5 () in
+  Alcotest.check_raises "with_theta rejects power > 2"
+    (Invalid_argument "Covariance: power must be in (0, 2]") (fun () ->
+    ignore (Covariance.with_theta p [| 1.; 0.3; 2.5 |]));
+  (* Record literals skip the checks; a NaN σ² must still not read as a
+     zero covariance, while a genuinely underflowed entry does. *)
+  let nan_sigma = { m with Covariance.sigma2 = nan } in
+  List.iter
+    (fun h ->
+      Alcotest.(check bool) (Printf.sprintf "NaN sigma2 stays NaN at h = %g" h) true
+        (Float.is_nan (Covariance.eval nan_sigma h)))
+    [ 0.05; 1.; 1e300 ];
+  Alcotest.(check (float 0.)) "underflow at huge h is 0" 0. (Covariance.eval m 1e300)
 
 let test_field_variance () =
   (* The empirical variance of a synthesised field matches σ² roughly. *)
@@ -341,6 +493,9 @@ let () =
           Alcotest.test_case "tiled = dense" `Quick test_build_tiled_matches_dense;
           Alcotest.test_case "matern reference bits" `Quick test_matern_reference_bits;
           Alcotest.test_case "theta roundtrip" `Quick test_theta_roundtrip;
+          Alcotest.test_case "matern error band" `Quick test_matern_error_band;
+          Alcotest.test_case "fit keeps precision maps" `Quick test_fit_keeps_precision_maps;
+          QCheck_alcotest.to_alcotest prop_matern_error_band;
         ] );
       ( "field",
         [

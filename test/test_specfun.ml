@@ -177,6 +177,52 @@ let prop_k_only_bitwise =
       let k = snd (Bessel.bessel_ik ~nu x) in
       same_bits k (Bessel.bessel_k ~nu x) && same_bits k (Bessel.k_eval (Bessel.k_plan ~nu) x))
 
+(* {2 The exponent-scaled evaluator}
+
+   [k_scaled plan x = √x·eˣ·K_ν(x)] runs the same CF2 and recurrence as
+   [k_eval] without the [√(π/2x)·e^{−x}] factor, so undoing that factor
+   must land within a few ulp of [k_eval] wherever [K_ν] is normal
+   (x ≤ 700), the Matérn fit's nodes included. *)
+
+let scaled_ulp = 8.
+
+let scaled_agrees plan x =
+  let k = Bessel.k_eval plan x in
+  let k' = Bessel.k_scaled plan x *. exp (-.x) /. sqrt x in
+  Float.abs (k' -. k) <= scaled_ulp *. epsilon_float *. k
+
+let test_k_scaled () =
+  let nus = [ 0.; 0.01; 0.25; 0.5; 0.63; 1.; 1.5; 2.; 2.5; 3.; 4.; 6.; 10. ] in
+  let xs =
+    [ 2.; Float.succ 2.; 700. ]
+    @ List.init 400 (fun i -> 2. *. Float.pow 350. (float_of_int i /. 400.))
+  in
+  let misses =
+    List.concat_map
+      (fun nu ->
+        let plan = Bessel.k_plan ~nu in
+        List.filter_map (fun x -> if scaled_agrees plan x then None else Some (nu, x)) xs)
+      nus
+  in
+  Alcotest.(check (list (pair (float 0.) (float 0.))))
+    "(nu, x) where k_scaled·e^{-x}/√x is off k_eval" [] misses;
+  (* Where K_ν itself underflows the scaled value stays near √(π/2). *)
+  let g = Bessel.k_scaled (Bessel.k_plan ~nu:1.3) 1e4 in
+  check "k_scaled at x = 1e4" 1e-3 (sqrt (Float.pi /. 2.)) g;
+  let plan = Bessel.k_plan ~nu:1. in
+  List.iter
+    (fun x ->
+      Alcotest.check_raises
+        (Printf.sprintf "k_scaled rejects x = %g" x)
+        (Invalid_argument "Bessel.k_scaled: requires finite x >= 2")
+        (fun () -> ignore (Bessel.k_scaled plan x)))
+    [ Float.pred 2.; 0.5; infinity; nan ]
+
+let prop_k_scaled =
+  QCheck.Test.make ~name:"k_scaled·e^{-x}/√x within a few ulp of k_eval" ~count:500
+    QCheck.(pair (float_range 0. 4.) (float_range 2. 700.))
+    (fun (nu, x) -> scaled_agrees (Bessel.k_plan ~nu) x)
+
 let () =
   Alcotest.run "specfun"
     [
@@ -198,8 +244,9 @@ let () =
           Alcotest.test_case "positive decreasing" `Quick test_bessel_k_positive_decreasing;
           Alcotest.test_case "K-only bitwise grid" `Quick test_k_only_bitwise;
           Alcotest.test_case "K reference bits" `Quick test_k_reference_bits;
+          Alcotest.test_case "k_scaled against k_eval" `Quick test_k_scaled;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_wronskian; prop_k_decreasing_in_x; prop_k_only_bitwise ] );
+          [ prop_wronskian; prop_k_decreasing_in_x; prop_k_only_bitwise; prop_k_scaled ] );
     ]
