@@ -9,9 +9,12 @@ all:
 test:
 	dune build && dune runtest
 
-# Tier-1 plus the seeded schedule-explorer pass over a numeric DTD Cholesky.
+# Tier-1 plus the seeded schedule-explorer pass over a numeric DTD Cholesky
+# and the run-report gate of the CI report-smoke job (exits nonzero unless
+# the streamed event log rebuilds the measured makespan bit-identically).
 check: test
 	dune exec test/explorer_pass.exe
+	dune exec bin/geomix.exe -- report --smoke > /dev/null
 
 # Seeded chaos runs: fault-injected factorizations that must recover to a
 # bitwise-identical result (same seed matrix as the CI chaos-smoke job).

@@ -79,6 +79,26 @@ let pmap_of_config ~ntiles = function
   | `Mixed16 -> Pm.two_level ~nt:ntiles ~off_diag:Fp.Fp16
   | `Mixed16_32 -> Pm.two_level ~nt:ntiles ~off_diag:Fp.Fp16_32
 
+let config_arg default =
+  Arg.(
+    value & opt config_conv default
+    & info [ "config" ] ~doc:"fp64|fp32|fp64-fp16|fp64-fp16-32.")
+
+let nt_arg default = Arg.(value & opt int default & info [ "nt" ] ~doc:"Tiles per dimension.")
+
+(* [scope] qualifies the help of commands that only start a pool under --run. *)
+let workers_arg scope =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "workers" ] ~doc:("Pool worker domains" ^ scope ^ " (default: cores - 1)."))
+
+(* Covariance-like SPD test matrix: decaying off-diagonal mass.  Every real
+   factorization the CLI runs on synthetic data uses it. *)
+let spd_test_matrix ~n ~nb =
+  Geomix_tile.Tiled.init ~n ~nb (fun i j ->
+      (if i = j then 1.0 else 0.) +. exp (-0.05 *. float_of_int (abs (i - j))))
+
 let cov_of ~family ~sigma2 ~beta ~nu ~nugget =
   match family with
   | Covariance.Sqexp -> Covariance.sqexp ~nugget ~sigma2 ~beta ()
@@ -169,10 +189,6 @@ let simulate_cmd =
     Arg.(value & opt machine_conv `V100 & info [ "machine" ] ~doc:"v100|a100|h100|summit|guyot.")
   in
   let nodes_arg = Arg.(value & opt int 1 & info [ "nodes" ] ~doc:"Summit node count.") in
-  let nt_arg = Arg.(value & opt int 24 & info [ "nt" ] ~doc:"Tiles per dimension.") in
-  let config_arg =
-    Arg.(value & opt config_conv `Fp64 & info [ "config" ] ~doc:"fp64|fp32|fp64-fp16|fp64-fp16-32.")
-  in
   let strategy_arg =
     Arg.(value & opt strategy_conv Sim.Stc_auto & info [ "strategy" ] ~doc:"stc|ttc.")
   in
@@ -188,7 +204,8 @@ let simulate_cmd =
   Cmd.v
     (Cmd.info "simulate" ~doc:"Simulate a mixed-precision Cholesky on a modelled GPU machine")
     Term.(
-      const run $ machine_arg $ nodes_arg $ nt_arg $ config_arg $ strategy_arg $ nb_arg
+      const run $ machine_arg $ nodes_arg $ nt_arg 24 $ config_arg `Fp64 $ strategy_arg
+      $ nb_arg
       $ trace_arg $ gantt_arg)
 
 (* stats subcommand *)
@@ -216,19 +233,16 @@ let stats_cmd =
       (100. *. Cm.stc_fraction cm);
     if run_real then begin
       let reg = Metrics.create () in
-      let trace = Trace.create () in
+      let profile = Geomix_obs.Profile.collector () in
       let n = ntiles * run_nb in
-      (* Covariance-like SPD test matrix: decaying off-diagonal mass. *)
-      let a =
-        Tiled.init ~n ~nb:run_nb (fun i j ->
-          (if i = j then 1.0 else 0.) +. exp (-0.05 *. float_of_int (abs (i - j))))
-      in
+      let a = spd_test_matrix ~n ~nb:run_nb in
       let resources = ref 1 in
       let t0 = Unix.gettimeofday () in
       Geomix_parallel.Pool.with_pool ~obs:reg ?bus ?num_workers:workers (fun pool ->
         resources := Stdlib.max 1 (Geomix_parallel.Pool.num_workers pool);
-        Geomix_core.Mp_cholesky.factorize ~pool ~trace ?bus ~pmap a);
+        Geomix_core.Mp_cholesky.factorize ~pool ~profile ?bus ~pmap a);
       let dt = Unix.gettimeofday () -. t0 in
+      let trace = Trace.of_measures (Geomix_obs.Profile.measures profile) in
       Printf.printf "\nReal factorization: n=%d (nb=%d), %d worker(s), %.3f s wall clock\n"
         n run_nb !resources dt;
       let snap = Metrics.snapshot reg in
@@ -247,13 +261,6 @@ let stats_cmd =
       if gantt then print_string (Trace.gantt trace ~resources:!resources ~width:72)
     end
   in
-  let nt_arg = Arg.(value & opt int 24 & info [ "nt" ] ~doc:"Tiles per dimension.") in
-  let config_arg =
-    Arg.(
-      value
-      & opt config_conv `Mixed16_32
-      & info [ "config" ] ~doc:"fp64|fp32|fp64-fp16|fp64-fp16-32.")
-  in
   let run_arg =
     Arg.(
       value & flag
@@ -264,12 +271,6 @@ let stats_cmd =
   in
   let run_nb_arg =
     Arg.(value & opt int 32 & info [ "run-nb" ] ~doc:"Tile size of the real --run matrix.")
-  in
-  let workers_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "workers" ] ~doc:"Pool worker domains for --run (default: cores - 1).")
   in
   let trace_arg =
     Arg.(
@@ -292,7 +293,8 @@ let stats_cmd =
          "Report exact bytes-on-the-wire (STC vs TTC vs all-FP64) for a tile Cholesky, \
           optionally measuring a real instrumented run")
     Term.(
-      const run $ nt_arg $ config_arg $ nb_arg $ run_arg $ run_nb_arg $ workers_arg
+      const run $ nt_arg 24 $ config_arg `Mixed16_32 $ nb_arg $ run_arg $ run_nb_arg
+      $ workers_arg " for --run"
       $ trace_arg $ gantt_arg $ format_arg $ verbose_arg)
 
 (* mle subcommand *)
@@ -382,11 +384,7 @@ let chaos_cmd =
     let bus = stderr_bus_of ~verbose in
     let reg = Metrics.create () in
     let n = ntiles * nb in
-    (* Covariance-like SPD test matrix, as in `stats --run`. *)
-    let init i j =
-      (if i = j then 1.0 else 0.) +. exp (-0.05 *. float_of_int (abs (i - j)))
-    in
-    let a = Tiled.init ~n ~nb init in
+    let a = spd_test_matrix ~n ~nb in
     let pmap = pmap_of_config ~ntiles config in
     let kinds =
       if sdc && not (List.mem Fault.Sdc kinds) then kinds @ [ Fault.Sdc ] else kinds
@@ -451,7 +449,7 @@ let chaos_cmd =
     | Chol.Factorized ->
       (* The recovered factor must equal a fault-free factorization under
          the map the final round actually ran — bitwise. *)
-      let reference = Tiled.init ~n ~nb init in
+      let reference = spd_test_matrix ~n ~nb in
       Chol.factorize ~pmap:report.Chol.pmap reference;
       let diff = Tiled.rel_diff a ~reference in
       Printf.printf "recovered factor vs fault-free run: rel diff %.3e (%s)\n" diff
@@ -482,13 +480,6 @@ let chaos_cmd =
             "geomix chaos: %d corruptions injected, none detected\n" injected_sdc;
           exit 1
         end)
-  in
-  let nt_arg = Arg.(value & opt int 6 & info [ "nt" ] ~doc:"Tiles per dimension.") in
-  let config_arg =
-    Arg.(
-      value
-      & opt config_conv `Mixed16_32
-      & info [ "config" ] ~doc:"fp64|fp32|fp64-fp16|fp64-fp16-32.")
   in
   let nb_small_arg = Arg.(value & opt int 16 & info [ "nb" ] ~doc:"Tile size.") in
   let rate_arg =
@@ -521,12 +512,6 @@ let chaos_cmd =
   in
   let attempts_arg =
     Arg.(value & opt int 3 & info [ "attempts" ] ~doc:"Retry budget per task.")
-  in
-  let workers_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "workers" ] ~doc:"Pool worker domains (default: cores - 1).")
   in
   let format_arg =
     Arg.(
@@ -567,8 +552,8 @@ let chaos_cmd =
          "Factorize under seeded fault injection and verify the recovered result \
           is bitwise identical to a fault-free run")
     Term.(
-      const run $ seed_arg $ nt_arg $ config_arg $ nb_small_arg $ rate_arg
-      $ pivot_rate_arg $ kinds_arg $ sdc_arg $ attempts_arg $ workers_arg
+      const run $ seed_arg $ nt_arg 6 $ config_arg `Mixed16_32 $ nb_small_arg $ rate_arg
+      $ pivot_rate_arg $ kinds_arg $ sdc_arg $ attempts_arg $ workers_arg ""
       $ format_arg $ metrics_out_arg $ verbose_arg)
 
 (* ooc subcommand *)
@@ -607,9 +592,6 @@ let ooc_cmd =
         exit 2
       end
     end
-  in
-  let spd_init i j =
-    (if i = j then 1.0 else 0.) +. exp (-0.05 *. float_of_int (abs (i - j)))
   in
   let report_store st =
     let sp = Store.spilled_bytes st and sp64 = Store.spilled_bytes_fp64 st in
@@ -657,7 +639,7 @@ let ooc_cmd =
     let reg = Metrics.create () in
     let n = ntiles * nb in
     let pmap = pmap_of_config ~ntiles config in
-    let init () = Tiled.init ~n ~nb spd_init in
+    let init () = spd_test_matrix ~n ~nb in
     let budget = budget_tiles * nb * nb * 8 in
     let faults =
       if disk_rate > 0. then Some (Fault.plan ~obs:reg ?bus ~disk_rate ~seed ())
@@ -840,13 +822,6 @@ let ooc_cmd =
       finishing ok
     end
   in
-  let nt_arg = Arg.(value & opt int 6 & info [ "nt" ] ~doc:"Tiles per dimension.") in
-  let config_arg =
-    Arg.(
-      value
-      & opt config_conv `Mixed16_32
-      & info [ "config" ] ~doc:"fp64|fp32|fp64-fp16|fp64-fp16-32.")
-  in
   let nb_small_arg = Arg.(value & opt int 16 & info [ "nb" ] ~doc:"Tile size.") in
   let budget_arg =
     Arg.(
@@ -958,7 +933,7 @@ let ooc_cmd =
           factorize under a bounded residency window with precision-narrowed \
           spill records, and verify kill/resume crash recovery bitwise")
     Term.(
-      const run $ seed_arg $ nt_arg $ config_arg $ nb_small_arg $ budget_arg
+      const run $ seed_arg $ nt_arg 6 $ config_arg `Mixed16_32 $ nb_small_arg $ budget_arg
       $ every_arg $ dir_arg $ resume_arg $ kill_after_arg $ kill_matrix_arg
       $ rot_arg $ disk_rate_arg $ format_arg $ metrics_out_arg $ verbose_arg)
 
@@ -1035,201 +1010,205 @@ let report_cmd =
            ("bytes_fp64", Jsonlite.Num m.Cm.bytes_fp64);
            ("transfers", Jsonlite.Num (float_of_int m.Cm.transfers));
          ]);
-    if run_real then begin
-      let reg = Metrics.create () in
-      let trace = Trace.create () in
-      let profile = Profile.collector () in
-      let bus = Events.create () in
-      (* Sinks: a JSONL file with --events, machine-readable JSONL on stderr
-         under GEOMIX_LOG (the report's stdout is the document), a pretty
-         stderr narration with --verbose, and a ring the report itself uses
-         to cross-check the streamed log against the trace. *)
-      let events_oc = Option.map open_out events in
-      Option.iter (Events.attach_jsonl bus) events_oc;
-      (match Events.env_level () with
-      | None -> ()
-      | Some lvl ->
-        Events.on_event bus (fun e ->
-            if level_rank e.Events.level >= level_rank lvl then begin
-              output_string stderr (Events.to_jsonl e);
-              output_char stderr '\n';
-              flush stderr
-            end));
-      if verbose then Events.attach_stderr ~min_level:Events.Debug bus;
-      let ring = Events.ring ~capacity:65536 bus in
-      let n = ntiles * run_nb in
-      (* Covariance-like SPD test matrix, as in `stats --run`. *)
-      let a =
-        Tiled.init ~n ~nb:run_nb (fun i j ->
-            (if i = j then 1.0 else 0.) +. exp (-0.05 *. float_of_int (abs (i - j))))
-      in
-      let resources = ref 1 in
-      let guard = Geomix_integrity.Guard.create ~obs:reg ~bus () in
-      let t0 = Unix.gettimeofday () in
-      Geomix_parallel.Pool.with_pool ~obs:reg ~bus ?num_workers:workers (fun pool ->
-          resources := Stdlib.max 1 (Geomix_parallel.Pool.num_workers pool);
-          Chol.factorize ~pool ~trace ~bus ~profile ~integrity:guard ~pmap a);
-      let wall = Unix.gettimeofday () -. t0 in
-      Option.iter close_out events_oc;
-      (* Read the JSONL sink back through the resilient reader: the report
-         records how many intact events the file holds and how many
-         damaged lines were skipped, so a truncated or interleaved log is
-         visible in the artifact instead of silently shorter. *)
-      let events_readback =
-        Option.map
-          (fun path ->
-            let ic = open_in path in
-            Fun.protect
-              ~finally:(fun () -> close_in ic)
-              (fun () ->
-                let evs, skipped = Events.read_jsonl ic in
-                (List.length evs, skipped)))
-          events
-      in
-      let dag = Cdag.create ~nt:ntiles in
-      let preds =
-        Geomix_parallel.Dag_exec.predecessors ~num_tasks:(Cdag.num_tasks dag)
-          ~successors:(Cdag.successors dag)
-      in
-      let prof = Profile.analyze ~preds (Profile.measures profile) in
-      (* Cross-check: the makespan reconstructed from the streamed task_end
-         events must equal the trace's bit-for-bit (same hook, same floats). *)
-      let streamed_makespan =
-        List.fold_left
-          (fun acc (e : Events.event) ->
-            if e.Events.name = "task_end" then
-              match Option.bind (List.assoc_opt "at" e.Events.fields) Jsonlite.to_float with
-              | Some t -> Float.max acc t
-              | None -> acc
-            else acc)
-          0. (Events.ring_events ring)
-      in
-      Report.section doc "Execution";
-      Report.table doc ~headers:[ "quantity"; "value" ]
-        ([
-           [ "matrix"; Printf.sprintf "n=%d (nb=%d)" n run_nb ];
-           [ "workers"; string_of_int !resources ];
-           [ "makespan"; sec (Trace.makespan trace) ];
-           [ "wall clock"; Printf.sprintf "%.3f s" wall ];
-           [ "utilisation"; pct (Trace.utilisation trace ~resources:!resources) ];
-           [ "tasks"; string_of_int prof.Profile.tasks ];
-           [ "event log reconstructs makespan";
-             (if streamed_makespan = Trace.makespan trace then "yes (bit-identical)"
-              else Printf.sprintf "NO (%.9f vs %.9f)" streamed_makespan
-                     (Trace.makespan trace)) ];
-         ]
-        @
-        match events_readback with
-        | None -> []
+    (* The replayed makespan: [None] without --run, else the streamed and
+       measured values. *)
+    let replay =
+      if not run_real then None
+      else begin
+        let reg = Metrics.create () in
+        let profile = Profile.collector () in
+        let bus = Events.create () in
+        (* Sinks: a JSONL file with --events, machine-readable JSONL on stderr
+           under GEOMIX_LOG (the report's stdout is the document), a pretty
+           stderr narration with --verbose, and a ring the report itself uses
+           to cross-check the streamed log against the trace. *)
+        let events_oc = Option.map open_out events in
+        Option.iter (Events.attach_jsonl bus) events_oc;
+        (match Events.env_level () with
+        | None -> ()
+        | Some lvl ->
+          Events.on_event bus (fun e ->
+              if level_rank e.Events.level >= level_rank lvl then begin
+                output_string stderr (Events.to_jsonl e);
+                output_char stderr '\n';
+                flush stderr
+              end));
+        if verbose then Events.attach_stderr ~min_level:Events.Debug bus;
+        let ring = Events.ring ~capacity:65536 bus in
+        let n = ntiles * run_nb in
+        let a = spd_test_matrix ~n ~nb:run_nb in
+        let resources = ref 1 in
+        let guard = Geomix_integrity.Guard.create ~obs:reg ~bus () in
+        let t0 = Unix.gettimeofday () in
+        Geomix_parallel.Pool.with_pool ~obs:reg ~bus ?num_workers:workers (fun pool ->
+            resources := Stdlib.max 1 (Geomix_parallel.Pool.num_workers pool);
+            Chol.factorize ~pool ~bus ~profile ~integrity:guard ~pmap a);
+        let wall = Unix.gettimeofday () -. t0 in
+        let measures = Profile.measures profile in
+        let trace = Trace.of_measures measures in
+        Option.iter close_out events_oc;
+        (* Read the JSONL sink back through the resilient reader: the report
+           records how many intact events the file holds and how many
+           damaged lines were skipped, so a truncated or interleaved log is
+           visible in the artifact instead of silently shorter. *)
+        let events_readback =
+          Option.map
+            (fun path ->
+              let ic = open_in path in
+              Fun.protect
+                ~finally:(fun () -> close_in ic)
+                (fun () ->
+                  let evs, skipped = Events.read_jsonl ic in
+                  (List.length evs, skipped)))
+            events
+        in
+        let dag = Cdag.create ~nt:ntiles in
+        let preds =
+          Geomix_parallel.Dag_exec.predecessors ~num_tasks:(Cdag.num_tasks dag)
+            ~successors:(Cdag.successors dag)
+        in
+        let prof = Profile.analyze ~preds measures in
+        (* Cross-check: the makespan reconstructed from the streamed task_end
+           events must equal the trace's bit-for-bit (same hook, same floats);
+           a mismatch fails the command after the report is written. *)
+        let streamed_makespan =
+          List.fold_left
+            (fun acc (e : Events.event) ->
+              if e.Events.name = "task_end" then
+                match Option.bind (List.assoc_opt "at" e.Events.fields) Jsonlite.to_float with
+                | Some t -> Float.max acc t
+                | None -> acc
+              else acc)
+            0. (Events.ring_events ring)
+        in
+        Report.section doc "Execution";
+        Report.table doc ~headers:[ "quantity"; "value" ]
+          ([
+             [ "matrix"; Printf.sprintf "n=%d (nb=%d)" n run_nb ];
+             [ "workers"; string_of_int !resources ];
+             [ "makespan"; sec (Trace.makespan trace) ];
+             [ "wall clock"; Printf.sprintf "%.3f s" wall ];
+             [ "utilisation"; pct (Trace.utilisation trace ~resources:!resources) ];
+             [ "tasks"; string_of_int prof.Profile.tasks ];
+             [ "event log reconstructs makespan";
+               (if streamed_makespan = Trace.makespan trace then "yes (bit-identical)"
+                else Printf.sprintf "NO (%h vs %h)" streamed_makespan
+                       (Trace.makespan trace)) ];
+           ]
+          @
+          match events_readback with
+          | None -> []
+          | Some (intact, skipped) ->
+            [
+              [ "events file intact lines"; string_of_int intact ];
+              [ "events file damaged lines skipped"; string_of_int skipped ];
+            ]);
+        (match events_readback with
+        | None -> ()
         | Some (intact, skipped) ->
+          Report.attach doc ~key:"events_file"
+            (Jsonlite.Obj
+               [
+                 ("intact", Jsonlite.Num (float_of_int intact));
+                 ("skipped", Jsonlite.Num (float_of_int skipped));
+               ]));
+        Report.para doc "Occupancy (rows = workers, glyph = precision tag):";
+        Report.code doc (Trace.gantt trace ~resources:!resources ~width:72);
+        Report.section doc "Critical path";
+        Report.para doc
+          (Printf.sprintf
+             "Critical path %s = %s of the %s makespan (busy %s over %d workers); \
+              %d of %d tasks have zero slack.  Lower bound at this worker count: \
+              %s (predicted speedup %.2fx against measured)."
+             (sec prof.Profile.cp_length) (pct prof.Profile.cp_frac)
+             (sec prof.Profile.makespan) (sec prof.Profile.busy) prof.Profile.workers
+             (Array.fold_left (fun acc s -> if s = 0. then acc + 1 else acc) 0
+                prof.Profile.slack)
+             prof.Profile.tasks
+             (sec (Profile.lower_bound prof ~workers:!resources))
+             (Profile.predicted_speedup prof ~workers:!resources));
+        Report.para doc
+          ("Chain: " ^ String.concat " → " prof.Profile.cp_chain_labels);
+        let bucket_rows buckets =
+          List.map
+            (fun (b : Profile.bucket) ->
+              [ b.Profile.key; sec b.Profile.busy; string_of_int b.Profile.tasks;
+                pct (if prof.Profile.busy > 0. then b.Profile.busy /. prof.Profile.busy else 0.) ])
+            buckets
+        in
+        Report.para doc "Time attribution by kernel class:";
+        Report.table doc ~headers:[ "class"; "busy"; "tasks"; "share" ]
+          (bucket_rows prof.Profile.by_class);
+        Report.para doc "Time attribution by execution precision:";
+        Report.table doc ~headers:[ "precision"; "busy"; "tasks"; "share" ]
+          (bucket_rows prof.Profile.by_precision);
+        Report.para doc "What-if (critical-path / work lower bounds):";
+        Report.table doc ~headers:[ "workers"; "lower bound"; "predicted speedup" ]
+          (List.map
+             (fun w ->
+               [ string_of_int w; sec (Profile.lower_bound prof ~workers:w);
+                 Printf.sprintf "%.2fx" (Profile.predicted_speedup prof ~workers:w) ])
+             [ 1; 2; 4; 8 ]);
+        Report.attach doc ~key:"profile" (Profile.to_json prof);
+        Report.section doc "Metrics";
+        Report.code doc (Metrics.to_table (Metrics.snapshot reg));
+        let recovery =
+          let snap = Metrics.snapshot reg in
+          List.filter_map
+            (fun name ->
+              match Metrics.find snap name with
+              | Some (Metrics.Counter n) -> Some [ name; string_of_int n ]
+              | _ -> None)
+            [ "cholesky.retries"; "cholesky.restores"; "recovery.band_escalations" ]
+        in
+        if recovery <> [] then begin
+          Report.para doc "Recovery counters:";
+          Report.table doc ~headers:[ "counter"; "value" ] recovery
+        end;
+        (* ABFT coverage of the instrumented run: how much was guarded and
+           whether anything tripped (a clean run shows zero detections). *)
+        let module Guard = Geomix_integrity.Guard in
+        Report.section doc "Tile integrity";
+        Report.table doc ~headers:[ "quantity"; "value" ]
           [
-            [ "events file intact lines"; string_of_int intact ];
-            [ "events file damaged lines skipped"; string_of_int skipped ];
-          ]);
-      (match events_readback with
-      | None -> ()
-      | Some (intact, skipped) ->
-        Report.attach doc ~key:"events_file"
+            [ "tile stamps"; string_of_int (Guard.stamped guard) ];
+            [ "verifications"; string_of_int (Guard.verified guard) ];
+            [ "bytes hashed"; fb (float_of_int (Guard.hashed_bytes guard)) ];
+            [ "SDC detected"; string_of_int (Guard.detected guard) ];
+            [ "SDC recovered"; string_of_int (Guard.recovered guard) ];
+            [ "unrecovered violations"; string_of_int (Guard.violations guard) ];
+          ];
+        Report.attach doc ~key:"integrity"
           (Jsonlite.Obj
              [
-               ("intact", Jsonlite.Num (float_of_int intact));
-               ("skipped", Jsonlite.Num (float_of_int skipped));
-             ]));
-      Report.para doc "Occupancy (rows = workers, glyph = precision tag):";
-      Report.code doc (Trace.gantt trace ~resources:!resources ~width:72);
-      Report.section doc "Critical path";
-      Report.para doc
-        (Printf.sprintf
-           "Critical path %s = %s of the %s makespan (busy %s over %d workers); \
-            %d of %d tasks have zero slack.  Lower bound at this worker count: \
-            %s (predicted speedup %.2fx against measured)."
-           (sec prof.Profile.cp_length) (pct prof.Profile.cp_frac)
-           (sec prof.Profile.makespan) (sec prof.Profile.busy) prof.Profile.workers
-           (Array.fold_left (fun acc s -> if s = 0. then acc + 1 else acc) 0
-              prof.Profile.slack)
-           prof.Profile.tasks
-           (sec (Profile.lower_bound prof ~workers:!resources))
-           (Profile.predicted_speedup prof ~workers:!resources));
-      Report.para doc
-        ("Chain: " ^ String.concat " → " prof.Profile.cp_chain_labels);
-      let bucket_rows buckets =
-        List.map
-          (fun (b : Profile.bucket) ->
-            [ b.Profile.key; sec b.Profile.busy; string_of_int b.Profile.tasks;
-              pct (if prof.Profile.busy > 0. then b.Profile.busy /. prof.Profile.busy else 0.) ])
-          buckets
-      in
-      Report.para doc "Time attribution by kernel class:";
-      Report.table doc ~headers:[ "class"; "busy"; "tasks"; "share" ]
-        (bucket_rows prof.Profile.by_class);
-      Report.para doc "Time attribution by execution precision:";
-      Report.table doc ~headers:[ "precision"; "busy"; "tasks"; "share" ]
-        (bucket_rows prof.Profile.by_precision);
-      Report.para doc "What-if (critical-path / work lower bounds):";
-      Report.table doc ~headers:[ "workers"; "lower bound"; "predicted speedup" ]
-        (List.map
-           (fun w ->
-             [ string_of_int w; sec (Profile.lower_bound prof ~workers:w);
-               Printf.sprintf "%.2fx" (Profile.predicted_speedup prof ~workers:w) ])
-           [ 1; 2; 4; 8 ]);
-      Report.attach doc ~key:"profile" (Profile.to_json prof);
-      Report.section doc "Metrics";
-      Report.code doc (Metrics.to_table (Metrics.snapshot reg));
-      let recovery =
-        let snap = Metrics.snapshot reg in
-        List.filter_map
-          (fun name ->
-            match Metrics.find snap name with
-            | Some (Metrics.Counter n) -> Some [ name; string_of_int n ]
-            | _ -> None)
-          [ "cholesky.retries"; "cholesky.restores"; "recovery.band_escalations" ]
-      in
-      if recovery <> [] then begin
-        Report.para doc "Recovery counters:";
-        Report.table doc ~headers:[ "counter"; "value" ] recovery
-      end;
-      (* ABFT coverage of the instrumented run: how much was guarded and
-         whether anything tripped (a clean run shows zero detections). *)
-      let module Guard = Geomix_integrity.Guard in
-      Report.section doc "Tile integrity";
-      Report.table doc ~headers:[ "quantity"; "value" ]
-        [
-          [ "tile stamps"; string_of_int (Guard.stamped guard) ];
-          [ "verifications"; string_of_int (Guard.verified guard) ];
-          [ "bytes hashed"; fb (float_of_int (Guard.hashed_bytes guard)) ];
-          [ "SDC detected"; string_of_int (Guard.detected guard) ];
-          [ "SDC recovered"; string_of_int (Guard.recovered guard) ];
-          [ "unrecovered violations"; string_of_int (Guard.violations guard) ];
-        ];
-      Report.attach doc ~key:"integrity"
-        (Jsonlite.Obj
-           [
-             ("stamped", Jsonlite.Num (float_of_int (Guard.stamped guard)));
-             ("verified", Jsonlite.Num (float_of_int (Guard.verified guard)));
-             ("hashed_bytes", Jsonlite.Num (float_of_int (Guard.hashed_bytes guard)));
-             ("detected", Jsonlite.Num (float_of_int (Guard.detected guard)));
-             ("recovered", Jsonlite.Num (float_of_int (Guard.recovered guard)));
-           ])
-    end;
+               ("stamped", Jsonlite.Num (float_of_int (Guard.stamped guard)));
+               ("verified", Jsonlite.Num (float_of_int (Guard.verified guard)));
+               ("hashed_bytes", Jsonlite.Num (float_of_int (Guard.hashed_bytes guard)));
+               ("detected", Jsonlite.Num (float_of_int (Guard.detected guard)));
+               ("recovered", Jsonlite.Num (float_of_int (Guard.recovered guard)));
+             ]);
+        Some (streamed_makespan, Trace.makespan trace)
+      end
+    in
     let text =
       match format with
       | `Md -> Report.to_markdown doc
       | `Json -> Jsonlite.to_string ~indent:true (Report.to_json doc) ^ "\n"
     in
-    match out with
+    (match out with
     | None -> print_string text
     | Some path ->
       let oc = open_out path in
       output_string oc text;
       close_out oc;
-      Printf.printf "report written to %s\n" path
-  in
-  let nt_arg = Arg.(value & opt int 8 & info [ "nt" ] ~doc:"Tiles per dimension.") in
-  let config_arg =
-    Arg.(
-      value
-      & opt config_conv `Mixed16_32
-      & info [ "config" ] ~doc:"fp64|fp32|fp64-fp16|fp64-fp16-32.")
+      Printf.printf "report written to %s\n" path);
+    match replay with
+    | Some (streamed, measured) when streamed <> measured ->
+      Printf.eprintf
+        "geomix report: event log makespan %h does not rebuild the measured %h\n"
+        streamed measured;
+      exit 1
+    | _ -> ()
   in
   let smoke_arg =
     Arg.(
@@ -1251,12 +1230,6 @@ let report_cmd =
   let run_nb_arg =
     Arg.(value & opt int 32 & info [ "run-nb" ] ~doc:"Tile size of the real --run matrix.")
   in
-  let workers_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "workers" ] ~doc:"Pool worker domains for --run (default: cores - 1).")
-  in
   let format_arg =
     Arg.(
       value
@@ -1275,15 +1248,23 @@ let report_cmd =
       & opt (some string) None
       & info [ "events" ] ~doc:"Write the run's full telemetry stream to this JSONL file.")
   in
+  let exits =
+    Cmd.Exit.info 0 ~doc:"the report was written (and, with $(b,--run), the event log \
+                          rebuilt the measured makespan bit-identically)."
+    :: Cmd.Exit.info 1
+         ~doc:"the streamed event log did not rebuild the measured makespan."
+    :: Cmd.Exit.defaults
+  in
   Cmd.v
-    (Cmd.info "report"
+    (Cmd.info "report" ~exits
        ~doc:
          "Render a run report: precision-map composition, STC/TTC data motion, \
           and (with --run) occupancy, critical-path attribution and metrics of \
           a real instrumented factorization")
     Term.(
-      const run $ smoke_arg $ run_arg $ nt_arg $ config_arg $ nb_arg $ run_nb_arg
-      $ workers_arg $ format_arg $ out_arg $ events_arg $ verbose_arg)
+      const run $ smoke_arg $ run_arg $ nt_arg 8 $ config_arg `Mixed16_32 $ nb_arg
+      $ run_nb_arg $ workers_arg " for --run" $ format_arg $ out_arg $ events_arg
+      $ verbose_arg)
 
 (* autotune subcommand *)
 
@@ -1335,7 +1316,6 @@ let autotune_cmd =
       end
     end
   in
-  let nt_arg = Arg.(value & opt int 8 & info [ "nt" ] ~doc:"Tiles per dimension.") in
   let nb_small_arg =
     Arg.(value & opt int 16 & info [ "nb" ] ~doc:"Tile size of the pilot matrix.")
   in
@@ -1397,7 +1377,7 @@ let autotune_cmd =
           and sweep accuracy targets into an accuracy-vs-motion/energy Pareto \
           frontier")
     Term.(
-      const run $ smoke_arg $ nt_arg $ nb_small_arg $ seed_arg $ targets_arg
+      const run $ smoke_arg $ nt_arg 8 $ nb_small_arg $ seed_arg $ targets_arg
       $ machine_arg $ format_arg $ out_arg $ json_out_arg $ verbose_arg)
 
 (* serve subcommand *)
@@ -1473,12 +1453,6 @@ let serve_cmd =
       value
       & opt string "/tmp/geomix.sock"
       & info [ "socket" ] ~doc:"Unix-domain socket path to listen on.")
-  in
-  let workers_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "workers" ] ~doc:"Pool worker domains (default: cores - 1).")
   in
   let max_inflight_arg =
     Arg.(
@@ -1620,7 +1594,7 @@ let serve_cmd =
           precision-escalation recovery, with graceful SIGTERM drain and \
           overload brown-out")
     Term.(
-      const run $ socket_arg $ workers_arg $ max_inflight_arg
+      const run $ socket_arg $ workers_arg "" $ max_inflight_arg
       $ queue_capacity_arg $ cache_capacity_arg $ max_requests_arg
       $ drain_deadline_arg $ integrity_arg $ retry_attempts_arg
       $ trace_sample_arg $ stats_socket_arg $ telemetry_out_arg

@@ -12,6 +12,7 @@ module Retry = Geomix_fault.Retry
 module Metrics = Geomix_obs.Metrics
 module Events = Geomix_obs.Events
 module Span = Geomix_obs.Span
+module Profile = Geomix_obs.Profile
 module Guard = Geomix_integrity.Guard
 
 type strategy = Automatic | Always_ttc
@@ -27,26 +28,36 @@ let default_options =
 
 let pidx i j = (i * (i + 1) / 2) + j
 
+let comm_conversion ?cmap options pmap =
+  (match cmap with
+  | Some cm when Comm_map.nt cm <> Precision_map.nt pmap ->
+    invalid_arg "Mp_cholesky.comm_conversion: comm map / precision map tile mismatch"
+  | _ -> ());
+  (* The communication map only exists when the Automatic strategy models
+     transfer rounding; otherwise consumers read the stored tile. *)
+  if options.model_comm_rounding && options.strategy = Automatic then begin
+    let cm = match cmap with Some cm -> cm | None -> Comm_map.compute pmap in
+    fun i j ->
+      if Comm_map.strategy cm i j = Comm_map.Stc then
+        Some (Comm_map.comm_scalar cm i j)
+      else None
+  end
+  else fun _ _ -> None
+
 (* One factorization attempt.  [fault_round] feeds the attempt slot of the
    pivot and SDC fault decisions, so each {!factorize_robust} round redraws
    independently; a plain {!factorize} is round 1. *)
-let factorize_round ?(options = default_options) ?pool ?trace ?bus ?profile
-    ?faults ?retry ?obs ?span ?integrity ?cmap ?observe ?job ~fault_round ~pmap
-    a =
+let factorize_round ?(options = default_options) ?pool ?bus ?profile ?faults
+    ?retry ?obs ?integrity ?cmap ?observe ?job ~fault_round ~pmap a =
   let ntiles = Tiled.nt a in
   if Precision_map.nt pmap <> ntiles then
     invalid_arg "Mp_cholesky.factorize: precision map / matrix tile mismatch";
-  (match cmap with
-  | Some cm when Comm_map.nt cm <> ntiles ->
-    invalid_arg "Mp_cholesky.factorize: comm map / matrix tile mismatch"
-  | _ -> ());
+  (* The conversion a publish applies to produce the broadcast form:
+     [None] means consumers read the stored tile itself. *)
+  let comm_conversion = comm_conversion ?cmap options pmap in
+  let span = Option.bind job Pool.job_span in
   let nb = Tiled.nb a in
   let dag = Cholesky_dag.create ~nt:ntiles in
-  let cmap =
-    if options.model_comm_rounding && options.strategy = Automatic then
-      Some (match cmap with Some cm -> cm | None -> Comm_map.compute pmap)
-    else None
-  in
   (* Range instrumentation: hand each kernel's freshly written FP64 working
      tile to the observer (before any storage/transfer rounding), leaving
      the factorization itself bit-identical. *)
@@ -66,19 +77,6 @@ let factorize_round ?(options = default_options) ?pool ?trace ?bus ?profile
   let stored_key i j = pidx i j in
   let ship_key i j = npairs + pidx i j in
   (match integrity with Some g -> Guard.reset g | None -> ());
-  (* The conversion a publish applies to produce the broadcast form:
-     [None] means consumers read the stored tile itself (TTC, or
-     communication modelling off). *)
-  let comm_conversion i j =
-    if not options.model_comm_rounding then None
-    else
-      match (options.strategy, cmap) with
-      | Always_ttc, _ | Automatic, None -> None
-      | Automatic, Some cm ->
-        if Comm_map.strategy cm i j = Comm_map.Stc then
-          Some (Comm_map.comm_scalar cm i j)
-        else None
-  in
   let shipped_form i j =
     let tile = Tiled.tile a i j in
     match comm_conversion i j with None -> tile | Some s -> Mat.rounded s tile
@@ -346,28 +344,43 @@ let factorize_round ?(options = default_options) ?pool ?trace ?bus ?profile
   in
   let task_label id = Task.name (Cholesky_dag.kind_of dag id) in
   let task_prec id = Fpformat.name (exec_prec (Cholesky_dag.kind_of dag id)) in
-  let dag_obs =
-    let module Bridge = Geomix_runtime.Obs_bridge in
-    let hooks =
-      List.filter_map Fun.id
-        [
-          Option.map (fun tr -> Bridge.recorder ~name:task_label ~tag:task_prec tr) trace;
-          Option.map
-            (fun b -> Bridge.bus_recorder ~name:task_label ~component:"cholesky" b)
-            bus;
-          Option.map
-            (fun c -> Bridge.profile_recorder ~name:task_label ~tag:task_prec c)
-            profile;
-          Option.map
-            (fun sp ->
+  (* The one per-task record of a measured run: the profile measure, the
+     bus's task_begin/task_end pair and the span's task count, all from the
+     same floats.  Uninstrumented runs pass no hook and read no clock. *)
+  let on_task =
+    match (profile, bus, span) with
+    | None, None, None -> None
+    | _ ->
+      Some
+        (fun ~id ~worker ~start ~stop ->
+          let label = task_label id in
+          (match profile with
+          | None -> ()
+          | Some c ->
+            Profile.record c
               {
-                Dag_exec.on_task =
-                  (fun ~id:_ ~worker:_ ~start:_ ~stop:_ -> Span.note_task sp);
-              })
-            span;
-        ]
-    in
-    match hooks with [] -> None | [ h ] -> Some h | hs -> Some (Bridge.fanout hs)
+                Profile.id;
+                label;
+                cls = Profile.class_of_label label;
+                prec = task_prec id;
+                worker;
+                start;
+                stop;
+              });
+          (match bus with
+          | None -> ()
+          | Some _ ->
+            (* Both events are emitted at completion but carry the measured
+               run-relative span in ["at"], so replaying the log rebuilds
+               the profile's makespan exactly. *)
+            let base =
+              [ ("task", Events.fint id); ("label", Events.fstr label);
+                ("worker", Events.fint worker) ]
+            in
+            emit ~level:Events.Debug "task_begin" (base @ [ ("at", Events.fnum start) ]);
+            emit ~level:Events.Debug "task_end"
+              (base @ [ ("at", Events.fnum stop); ("dur", Events.fnum (stop -. start)) ]));
+          match span with None -> () | Some sp -> Span.note_task sp)
   in
   (* Indefiniteness is deterministic under restore-and-re-run, so retrying
      it burns the budget for nothing: it is a precision problem, handled by
@@ -443,7 +456,7 @@ let factorize_round ?(options = default_options) ?pool ?trace ?bus ?profile
       note_restore saved
   in
   let run pool =
-    Dag_exec.run ?obs:dag_obs
+    Dag_exec.run ?on_task
       ~task_name:(fun id -> Task.name (Cholesky_dag.kind_of dag id))
       ?faults ?retry ~capture ?on_retry:note_retry ?job ~pool
       ~num_tasks:(Cholesky_dag.num_tasks dag)
@@ -476,10 +489,10 @@ let factorize_round ?(options = default_options) ?pool ?trace ?bus ?profile
     Mat.zero_upper (Tiled.tile a k k)
   done
 
-let factorize ?options ?pool ?trace ?bus ?profile ?faults ?retry ?obs ?span
-    ?integrity ?cmap ?observe ?job ~pmap a =
-  factorize_round ?options ?pool ?trace ?bus ?profile ?faults ?retry ?obs ?span
-    ?integrity ?cmap ?observe ?job ~fault_round:1 ~pmap a
+let factorize ?options ?pool ?bus ?profile ?faults ?retry ?obs ?integrity ?cmap
+    ?observe ?job ~pmap a =
+  factorize_round ?options ?pool ?bus ?profile ?faults ?retry ?obs ?integrity
+    ?cmap ?observe ?job ~fault_round:1 ~pmap a
 
 (* Precision-escalation recovery. *)
 
@@ -497,8 +510,8 @@ type report = {
 let restore_tiles ~from a =
   Tiled.iter_lower from (fun ~i ~j m -> Mat.blit ~src:m ~dst:(Tiled.tile a i j))
 
-let factorize_robust ?options ?pool ?trace ?bus ?profile ?faults ?retry ?obs
-    ?span ?integrity ?cmap ?(max_band_escalations = 4) ?job ~pmap a =
+let factorize_robust ?options ?pool ?bus ?profile ?faults ?retry ?obs ?integrity
+    ?cmap ?(max_band_escalations = 4) ?job ~pmap a =
   let note_band, note_full, note_indefinite =
     match obs with
     | None -> (ignore, ignore, ignore)
@@ -522,8 +535,8 @@ let factorize_robust ?options ?pool ?trace ?bus ?profile ?faults ?retry ?obs
        must re-derive their transfers. *)
     let cmap = if round = 1 then cmap else None in
     match
-      factorize_round ?options ?pool ?trace ?bus ?profile ?faults ?retry ?obs
-        ?span ?integrity ?cmap ?job ~fault_round:round ~pmap a
+      factorize_round ?options ?pool ?bus ?profile ?faults ?retry ?obs
+        ?integrity ?cmap ?job ~fault_round:round ~pmap a
     with
     | () -> { outcome = Factorized; escalations = List.rev events; rounds = round; pmap }
     | exception exn -> (

@@ -29,16 +29,32 @@ type options = {
 val default_options : options
 (** [Boundary] fidelity, [Automatic] strategy, communication rounding on. *)
 
+val comm_conversion :
+  ?cmap:Comm_map.t ->
+  options ->
+  Precision_map.t ->
+  int ->
+  int ->
+  Geomix_precision.Fpformat.scalar option
+(** [comm_conversion ?cmap options pmap] is the transfer-form decision both
+    factorization drivers ({!factorize} and {!Ooc_cholesky}) make for the
+    broadcast of tile (i, j): [Some s] when Algorithm 2 ships it converted
+    to [s] (STC), [None] when consumers read the stored tile itself (TTC,
+    the [Always_ttc] strategy, or communication rounding off).  The
+    communication map is [cmap], else [Comm_map.compute pmap], derived once
+    on partial application — and only when the [Automatic] strategy models
+    communication rounding.
+    @raise Invalid_argument when [cmap]'s tile count differs from
+    [pmap]'s. *)
+
 val factorize :
   ?options:options ->
   ?pool:Geomix_parallel.Pool.t ->
-  ?trace:Geomix_runtime.Trace.t ->
   ?bus:Geomix_obs.Events.t ->
   ?profile:Geomix_obs.Profile.collector ->
   ?faults:Geomix_fault.Fault.t ->
   ?retry:Geomix_fault.Retry.policy ->
   ?obs:Geomix_obs.Metrics.t ->
-  ?span:Geomix_obs.Span.t ->
   ?integrity:Geomix_integrity.Guard.t ->
   ?cmap:Comm_map.t ->
   ?observe:(i:int -> j:int -> Geomix_linalg.Mat.t -> unit) ->
@@ -65,7 +81,10 @@ val factorize :
     {!Geomix_parallel.Pool.job} — how the request server ties a
     factorization to its request.  Without it the run gets a private job;
     either way, concurrent factorizations sharing one pool neither await
-    nor observe each other's tasks or failures.
+    nor observe each other's tasks or failures.  When the job carries a
+    span ({!Geomix_parallel.Pool.job_span}), the factorization attributes
+    its task completions, supervised retries and RAW-edge transfers to it
+    (see {b Motion accounting}).
 
     [?observe] is the range-instrumentation hook (the [?obs]-style pilot
     pass of the autotuner): after each kernel writes tile (i, j), the
@@ -79,22 +98,22 @@ val factorize :
     per-tile or synchronized — {!Geomix_autotune.Range_tracker} keeps
     per-tile accumulators.
 
-    [?trace] records one {e real} wall-clock event per task (label =
-    ["GEMM(5,3,1)"]-style task name, tag = its kernel precision, resource =
-    the pool worker that ran it), viewable through the existing Chrome-JSON
-    and Gantt exporters — the measured counterpart of the simulator's
-    schedule traces.
+    [?profile] collects the one per-task record of a measured run: a
+    {!Geomix_obs.Profile} measure per task (label = ["GEMM(5,3,1)"]-style
+    task name, class = kernel, precision = its execution precision, worker
+    = the pool worker that ran it, wall-clock start/stop relative to the
+    run's origin) for critical-path analysis against
+    {!Geomix_runtime.Cholesky_dag} predecessors;
+    {!Geomix_runtime.Trace.of_measures} turns the measures into a trace for
+    the Chrome-JSON and Gantt exporters.
 
     [?bus] streams the same execution onto the telemetry bus (component
     ["cholesky"]): Debug [task_begin]/[task_end] pairs carrying the measured
-    run-relative span in field ["at"] (the same floats [?trace] records, so
-    the streamed log reconstructs the trace's makespan exactly), an Info
-    [panel] event per completed POTRF(k) with its precision, and Warn
+    run-relative span in field ["at"] (the same floats [?profile] records,
+    so the streamed log reconstructs the measured makespan exactly), an
+    Info [panel] event per completed POTRF(k) with its precision, and Warn
     [retry] events per supervised re-execution (task, attempt, error and —
-    when [?retry] is given — the backoff applied).  [?profile] collects one
-    {!Geomix_obs.Profile} measure per task (label = task name, class =
-    kernel, precision = its execution precision) for critical-path
-    analysis against {!Geomix_runtime.Cholesky_dag} predecessors.
+    when [?retry] is given — the backoff applied).
 
     {b Supervised recovery.}  [?faults] subjects every kernel to the seeded
     fault plan (site ["exec"], keyed by the ["POTRF(3)"]-style task name) and
@@ -115,11 +134,10 @@ val factorize :
     transfer scalar under STC, the storage scalar under TTC),
     [cholesky.shipped_bytes_fp64] (the 8-byte-per-element FP64-equivalent
     baseline), [cholesky.shipped_edges], and a
-    [cholesky.shipped_bytes.<scalar>] counter per transfer format.
-    [?span] attributes the very same quantities — same call site, same
-    values — to a per-request trace span ({!Geomix_obs.Span}), along with
-    task completions and supervised retries, so a fully-sampled traced
-    run conserves the aggregate counters bitwise.
+    [cholesky.shipped_bytes.<scalar>] counter per transfer format.  The
+    span of [?job] receives the very same quantities — same call site,
+    same values ({!Geomix_obs.Span.note_transfer}) — so a fully-sampled
+    traced server run conserves the aggregate counters bitwise.
 
     [?faults] additionally arms forced pivot failures (site ["pivot"],
     {!Geomix_fault.Fault.pivot_failure}): an armed POTRF(k) whose row band
@@ -205,13 +223,11 @@ type report = {
 val factorize_robust :
   ?options:options ->
   ?pool:Geomix_parallel.Pool.t ->
-  ?trace:Geomix_runtime.Trace.t ->
   ?bus:Geomix_obs.Events.t ->
   ?profile:Geomix_obs.Profile.collector ->
   ?faults:Geomix_fault.Fault.t ->
   ?retry:Geomix_fault.Retry.policy ->
   ?obs:Geomix_obs.Metrics.t ->
-  ?span:Geomix_obs.Span.t ->
   ?integrity:Geomix_integrity.Guard.t ->
   ?cmap:Comm_map.t ->
   ?max_band_escalations:int ->

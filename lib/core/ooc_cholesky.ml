@@ -24,7 +24,7 @@ type ctx = {
   st : Store.t;
   pmap : Precision_map.t;
   options : Mp_cholesky.options;
-  cmap : Comm_map.t option;
+  comm_conversion : int -> int -> Geomix_precision.Fpformat.scalar option;
   nt : int;
   nb : int;
   n : int;
@@ -33,46 +33,27 @@ type ctx = {
   cur : int ref;  (* current column — drives the farthest-next-use order *)
 }
 
+(* The matrix supplies the shape; the tile count is the precision map's,
+   which both drivers have checked against the matrix or manifest. *)
 let mk_ctx ?(options = Mp_cholesky.default_options) ?cmap ?(checkpoint_every = 1)
-    ~store ~pmap ~nt ~nb ~n () =
+    ~store ~pmap a =
   if checkpoint_every < 1 then
     invalid_arg "Ooc_cholesky: checkpoint_every < 1";
-  (match cmap with
-  | Some cm when Comm_map.nt cm <> nt ->
-    invalid_arg "Ooc_cholesky: comm map / matrix tile mismatch"
-  | _ -> ());
-  (* Same derivation as Mp_cholesky.factorize: the communication map only
-     exists when the Automatic strategy models transfer rounding. *)
-  let cmap =
-    if
-      options.Mp_cholesky.model_comm_rounding
-      && options.Mp_cholesky.strategy = Mp_cholesky.Automatic
-    then Some (match cmap with Some cm -> cm | None -> Comm_map.compute pmap)
-    else None
-  in
+  let nt = Precision_map.nt pmap in
   {
     st = store;
     pmap;
     options;
-    cmap;
+    (* Mp_cholesky's own decision, so the shipped operands (and hence the
+       factor) are bit-identical to the in-core driver's. *)
+    comm_conversion = Mp_cholesky.comm_conversion ?cmap options pmap;
     nt;
-    nb;
-    n;
+    nb = Tiled.nb a;
+    n = Tiled.n a;
     npairs = nt * (nt + 1) / 2;
     every = checkpoint_every;
     cur = ref 0;
   }
-
-(* The conversion a publish applies to produce the broadcast form —
-   bitwise the same decision Mp_cholesky makes, so the shipped operands
-   (and hence the factor) are bit-identical. *)
-let comm_conversion ctx i j =
-  match ctx.cmap with
-  | None -> None
-  | Some cm ->
-    if Comm_map.strategy cm i j = Comm_map.Stc then
-      Some (Comm_map.comm_scalar cm i j)
-    else None
 
 (* Farthest-next-use eviction order of the left-looking schedule (the
    I/O-aware static order of arXiv 2410.09819).  A key's priority is the
@@ -101,13 +82,13 @@ let install_priority ctx =
    down to FP16/FP8 records. *)
 let read_ship ctx i j =
   let key =
-    if comm_conversion ctx i j = None then pidx i j else ctx.npairs + pidx i j
+    if ctx.comm_conversion i j = None then pidx i j else ctx.npairs + pidx i j
   in
   (Store.acquire ctx.st key, key)
 
 let publish ctx i j m =
   Mat.round_inplace (Precision_map.storage ctx.pmap i j) m;
-  match comm_conversion ctx i j with
+  match ctx.comm_conversion i j with
   | Some s -> Store.put ctx.st (ctx.npairs + pidx i j) (Mat.rounded s m)
   | None -> ()
 
@@ -198,13 +179,9 @@ let finalize ctx a =
   ckpt ctx ~completed:ctx.nt ~finalized:true
 
 let factorize ?options ?cmap ?checkpoint_every ~store ~pmap a =
-  let nt = Tiled.nt a in
-  if Precision_map.nt pmap <> nt then
+  if Precision_map.nt pmap <> Tiled.nt a then
     invalid_arg "Ooc_cholesky.factorize: precision map / matrix tile mismatch";
-  let ctx =
-    mk_ctx ?options ?cmap ?checkpoint_every ~store ~pmap ~nt ~nb:(Tiled.nb a)
-      ~n:(Tiled.n a) ()
-  in
+  let ctx = mk_ctx ?options ?cmap ?checkpoint_every ~store ~pmap a in
   install_priority ctx;
   Tiled.iter_lower a (fun ~i ~j m -> Store.put store (pidx i j) m);
   (* The epoch-1 checkpoint makes the pristine input durable: a crash at
@@ -237,23 +214,12 @@ let resume ?options ?cmap ?checkpoint_every ?obs ?faults ?budget ?max_attempts
     let a = init () in
     if Tiled.nt a <> nt then
       invalid_arg "Ooc_cholesky.resume: init () tile count mismatch";
-    let ctx =
-      mk_ctx ?options ?cmap ?checkpoint_every ~store:st ~pmap ~nt
-        ~nb:(Tiled.nb a) ~n:(Tiled.n a) ()
-    in
-    install_priority ctx;
-    Tiled.iter_lower a (fun ~i ~j m -> Store.put st (pidx i j) m);
-    ckpt ctx ~completed:0 ~finalized:false;
-    run_columns ctx ~from:0;
-    finalize ctx a;
+    factorize ?options ?cmap ?checkpoint_every ~store:st ~pmap a;
     (st, a, Restarted { quarantined = rcv.Store.quarantined })
   end
   else begin
     let a = if n > 0 && nb > 0 then Tiled.create ~n ~nb else init () in
-    let ctx =
-      mk_ctx ?options ?cmap ?checkpoint_every ~store:st ~pmap ~nt
-        ~nb:(Tiled.nb a) ~n:(Tiled.n a) ()
-    in
+    let ctx = mk_ctx ?options ?cmap ?checkpoint_every ~store:st ~pmap a in
     install_priority ctx;
     (* Quarantined broadcast records are pure derivations of the verified
        stored factor: recompute them exactly as publish would. *)
@@ -262,7 +228,7 @@ let resume ?options ?cmap ?checkpoint_every ?obs ?faults ?budget ?max_attempts
       (fun key ->
         let i, k = unpack (key - npairs) in
         if k < completed then
-          match comm_conversion ctx i k with
+          match ctx.comm_conversion i k with
           | Some s ->
             let m = Store.acquire st (pidx i k) in
             Store.put st key (Mat.rounded s m);

@@ -7,9 +7,11 @@
 
     The module is deliberately runtime-agnostic: a {!measure} is plain
     data, and {!analyze} takes the predecessor lists of the executed DAG
-    as an array.  The runtime layer ({!Geomix_runtime.Obs_bridge}) adapts
-    its executors' observability hooks into a {!collector}, and
-    [Cholesky_dag]/[Dtd] both expose the graph shape {!analyze} needs. *)
+    as an array.  A measure is the one per-task record of a measured run:
+    [Mp_cholesky.factorize ?profile] records it from the executor's task
+    hook, {!Geomix_runtime.Trace.of_measures} derives the Chrome-JSON and
+    Gantt view from it, and [Cholesky_dag]/[Dtd] both expose the graph
+    shape {!analyze} needs. *)
 
 type measure = {
   id : int;  (** task id in the executed DAG *)

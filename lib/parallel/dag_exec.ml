@@ -1,8 +1,6 @@
 module Fault = Geomix_fault.Fault
 module Retry = Geomix_fault.Retry
 
-type obs = { on_task : id:int -> worker:int -> start:float -> stop:float -> unit }
-
 (* Wrap the task body in the supervision envelope: seeded fault injection
    around every attempt, bounded retry between attempts, and — when the
    caller can snapshot a task's written footprint — restoration of that
@@ -32,16 +30,16 @@ let supervise ~faults ~retry ~capture ~task_name ~on_retry execute =
         | Some f -> Fault.wrap f ~site:"exec" ~task:name ~attempt (fun () -> execute id)
         | None -> execute id)
 
-let run ?obs ?task_name ?faults ?retry ?capture ?on_retry ?job ~pool ~num_tasks
+let run ?on_task ?task_name ?faults ?retry ?capture ?on_retry ?job ~pool ~num_tasks
     ~in_degree ~successors ~execute () =
   if Array.length in_degree <> num_tasks then
     invalid_arg "Dag_exec.run: in_degree length mismatch";
   let task_name = Option.value task_name ~default:string_of_int in
   let execute = supervise ~faults ~retry ~capture ~task_name ~on_retry execute in
   let execute =
-    match obs with
+    match on_task with
     | None -> execute
-    | Some { on_task } ->
+    | Some on_task ->
       (* Wall-clock spans relative to this run's origin, so the events line
          up with the Trace exporters' expectation of a 0-based timeline.
          Under retry the span covers every attempt and backoff of the

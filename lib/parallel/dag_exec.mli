@@ -20,17 +20,8 @@
     skips its queued tasks, no successor of the failed task is launched,
     and the exception re-raises from [run] with its original backtrace. *)
 
-type obs = { on_task : id:int -> worker:int -> start:float -> stop:float -> unit }
-(** Real-execution hook: called once per task with the worker index that ran
-    it ({!Pool.self_index}) and wall-clock start/stop in seconds relative to
-    the run's origin — exactly the shape of a {!Geomix_runtime.Trace.event},
-    so real runs reuse the simulator's Chrome-JSON and Gantt exporters.
-    Called from worker domains concurrently; also fires when the task body
-    raises (the span then covers up to the raise — under retry it covers
-    every attempt and backoff). *)
-
 val run :
-  ?obs:obs ->
+  ?on_task:(id:int -> worker:int -> start:float -> stop:float -> unit) ->
   ?task_name:(int -> string) ->
   ?faults:Geomix_fault.Fault.t ->
   ?retry:Geomix_fault.Retry.policy ->
@@ -55,6 +46,13 @@ val run :
     written footprint for sound re-execution (see above); it is only
     invoked when a retry policy with [max_attempts > 1] is present.
     [?on_retry] observes every re-execution decision (for metrics).
+
+    [?on_task] is the real-execution hook: called once per task with the
+    worker index that ran it ({!Pool.self_index}) and wall-clock
+    start/stop in seconds relative to the run's origin.  Called from
+    worker domains concurrently; also fires when the task body raises
+    (the span then covers up to the raise — under retry it covers every
+    attempt and backoff).  Without it the run reads no clock.
 
     Every run executes under one {!Pool.job}, so {e concurrent runs
     sharing one pool} neither await nor observe each other's tasks, and a

@@ -11,6 +11,15 @@ let add t e =
 
 let events t = List.rev t.events
 
+let of_measures measures =
+  let t = create () in
+  List.iter
+    (fun (m : Geomix_obs.Profile.measure) ->
+      add t
+        { label = m.label; resource = m.worker; start = m.start; stop = m.stop; tag = m.prec })
+    measures;
+  t
+
 let makespan t = List.fold_left (fun acc e -> Float.max acc e.stop) 0. t.events
 
 let busy_time t ~resource =

@@ -17,6 +17,12 @@ val add : t -> event -> unit
 val events : t -> event list
 (** In insertion order. *)
 
+val of_measures : Geomix_obs.Profile.measure list -> t
+(** The trace of a {e measured} run: one event per {!Geomix_obs.Profile}
+    measure, in list order (label, worker as resource, start/stop, and the
+    precision as tag), so real executions reuse the Chrome-JSON, Gantt and
+    occupancy exporters unchanged. *)
+
 val makespan : t -> float
 (** Latest [stop] over all events (0 when empty). *)
 

@@ -431,7 +431,7 @@ let factorized_problem ?trace t (key : Cache.key) =
     else None
   in
   let report =
-    Mp_cholesky.factorize_robust ~pool:t.pool ~job ?bus:t.bus ?span
+    Mp_cholesky.factorize_robust ~pool:t.pool ~job ?bus:t.bus
       ?profile:(Option.map (fun c -> c.prof) trace)
       ?faults:t.faults ?retry:t.retry ?integrity:guard ~obs:t.obs
       ~cmap:art.Cache.cmap ~pmap:art.Cache.pmap a

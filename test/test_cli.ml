@@ -95,6 +95,13 @@ let test_chaos_sdc_contract () =
       check_contains json "integrity.sdc_detected";
       check_contains json "integrity.sdc_recovered")
 
+(* The CI report-smoke gate: the command fails unless the streamed event
+   log rebuilds the measured makespan bit-identically. *)
+let test_report_smoke_replays_makespan () =
+  let code, out = run [ "report"; "--smoke" ] in
+  Alcotest.(check int) "report --smoke exits 0" 0 code;
+  check_contains out "yes (bit-identical)"
+
 let () =
   Alcotest.run "cli"
     [
@@ -112,5 +119,10 @@ let () =
             test_chaos_clean_run_exits_zero;
           Alcotest.test_case "sdc detect-and-recover" `Quick
             test_chaos_sdc_contract;
+        ] );
+      ( "report contract",
+        [
+          Alcotest.test_case "smoke replays makespan" `Quick
+            test_report_smoke_replays_makespan;
         ] );
     ]

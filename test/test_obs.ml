@@ -602,17 +602,18 @@ let test_pool_bus_events () =
 
 let test_bus_reconstructs_makespan () =
   (* The acceptance check behind `geomix report`, on the factorization it
-     runs: task_end events carry the same floats the Trace records, so the
+     runs: task_end events carry the same floats the profile records, so the
      streamed log rebuilds the measured makespan bit-identically. *)
   let bus = E.create () in
   let ring = E.ring bus in
-  let trace = Trace.create () in
+  let profile = Geomix_obs.Profile.collector () in
   let nt = 4 and nb = 8 in
   let a =
     Tiled.init ~n:(nt * nb) ~nb (fun i j ->
       (if i = j then 1.0 else 0.) +. exp (-0.05 *. float_of_int (abs (i - j))))
   in
-  Chol.factorize ~trace ~bus ~pmap:(Pm.uniform ~nt Geomix_precision.Fpformat.Fp64) a;
+  Chol.factorize ~profile ~bus ~pmap:(Pm.uniform ~nt Geomix_precision.Fpformat.Fp64) a;
+  let trace = Trace.of_measures (Geomix_obs.Profile.measures profile) in
   let streamed =
     List.fold_left
       (fun acc e ->
@@ -626,6 +627,68 @@ let test_bus_reconstructs_makespan () =
   Alcotest.(check bool) "events observed work" true (streamed > 0.);
   Alcotest.(check bool) "bit-identical makespan" true
     (streamed = Trace.makespan trace)
+
+let test_factorize_feeds_every_sink_once () =
+  (* One measured factorization keeps one per-task record, and every
+     per-task sink derives from it exactly once: profile measures, the
+     bus's begin/end pair and the task count of the span the job carries.
+     That span also receives the RAW-edge transfers the registry counts. *)
+  let module Profile = Geomix_obs.Profile in
+  let module Span = Geomix_obs.Span in
+  let module Cdag = Geomix_runtime.Cholesky_dag in
+  let nt = 4 and nb = 8 in
+  let dag = Cdag.create ~nt in
+  let ntasks = Cdag.num_tasks dag in
+  let preds =
+    Geomix_parallel.Dag_exec.predecessors ~num_tasks:ntasks ~successors:(Cdag.successors dag)
+  in
+  List.iter
+    (fun workers ->
+      let bus = E.create () in
+      let ring = E.ring ~capacity:4096 bus in
+      let profile = Profile.collector () in
+      let obs = M.create () in
+      let span = Span.create ~request_id:"sinks" () in
+      let a =
+        Tiled.init ~n:(nt * nb) ~nb (fun i j ->
+          (if i = j then 1.0 else 0.) +. exp (-0.05 *. float_of_int (abs (i - j))))
+      in
+      Pool.with_pool ~num_workers:workers (fun pool ->
+        Chol.factorize ~pool ~profile ~bus ~job:(Pool.new_job ~span pool) ~obs
+          ~pmap:(Pm.two_level ~nt ~off_diag:Geomix_precision.Fpformat.Fp16_32)
+          a);
+      let measures = Profile.measures profile in
+      Alcotest.(check (list int))
+        (Printf.sprintf "each task measured once (%d workers)" workers)
+        (List.init ntasks Fun.id)
+        (List.sort compare (List.map (fun m -> m.Profile.id) measures));
+      let evs =
+        List.filter (fun e -> e.E.component = "cholesky") (E.ring_events ring)
+      in
+      let count name = List.length (List.filter (fun e -> e.E.name = name) evs) in
+      Alcotest.(check int) "one task_begin per task" ntasks (count "task_begin");
+      Alcotest.(check int) "one task_end per task" ntasks (count "task_end");
+      let s = Span.summary span in
+      Alcotest.(check int) "span counts every task" ntasks s.Span.s_tasks;
+      Alcotest.(check bool) "span saw transfers" true (s.Span.s_bytes_stc > 0);
+      Alcotest.(check int) "span bytes = registry bytes"
+        (counter_of (M.find (M.snapshot obs) "cholesky.shipped_bytes"))
+        s.Span.s_bytes_stc;
+      let streamed =
+        List.fold_left
+          (fun acc e ->
+            if e.E.name = "task_end" then
+              match List.assoc_opt "at" e.E.fields with
+              | Some (J.Num stop) -> Float.max acc stop
+              | _ -> Alcotest.fail "task_end without at"
+            else acc)
+          0. evs
+      in
+      let makespan = Trace.makespan (Trace.of_measures measures) in
+      Alcotest.(check bool) "trace makespan = streamed" true (makespan = streamed);
+      Alcotest.(check bool) "trace makespan = profile makespan" true
+        (makespan = (Profile.analyze ~preds measures).Profile.makespan))
+    [ 0; 2 ]
 
 (* Jsonlite: control characters, unicode passthrough, non-finite numbers *)
 
@@ -857,6 +920,8 @@ let () =
           Alcotest.test_case "pool lifecycle events" `Quick test_pool_bus_events;
           Alcotest.test_case "log replay reconstructs makespan" `Quick
             test_bus_reconstructs_makespan;
+          Alcotest.test_case "factorize feeds every sink once" `Quick
+            test_factorize_feeds_every_sink_once;
         ] );
       ( "bench gate",
         [
