@@ -9,12 +9,15 @@ all:
 test:
 	dune build && dune runtest
 
-# Tier-1 plus the seeded schedule-explorer pass over a numeric DTD Cholesky
-# and the run-report gate of the CI report-smoke job (exits nonzero unless
-# the streamed event log rebuilds the measured makespan bit-identically).
+# Tier-1 plus the seeded schedule-explorer pass over a numeric DTD Cholesky,
+# the run-report gate of the CI report-smoke job (exits nonzero unless the
+# streamed event log rebuilds the measured makespan bit-identically) and the
+# CI bench-smoke gate over the modelled STC/TTC metrics (makespan_ttc,
+# sim_bytes_ttc, motion_conv_ttc, ...) against the committed baseline.
 check: test
 	dune exec test/explorer_pass.exe
 	dune exec bin/geomix.exe -- report --smoke > /dev/null
+	dune exec bench/main.exe -- --smoke --compare bench/BENCH_baseline.json
 
 # Seeded chaos runs: fault-injected factorizations that must recover to a
 # bitwise-identical result (same seed matrix as the CI chaos-smoke job).

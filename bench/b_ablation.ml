@@ -22,9 +22,9 @@ let test_problem ~n ~small_nb =
   let tiled = Covariance.build_tiled cov locs ~nb:small_nb in
   (dense, tiled)
 
-let residual_of ~options ~pmap ~dense tiled =
+let residual_of ?cmap ~pmap ~dense tiled =
   let a = Tiled.copy tiled in
-  Mp.factorize ~options ~pmap a;
+  Mp.factorize ?cmap ~pmap a;
   let l = Tiled.to_dense a in
   Mat.zero_upper l;
   Check.cholesky_residual ~a:dense ~l
@@ -35,11 +35,8 @@ let ablation_stc (scale : scale) =
   let dense, tiled = test_problem ~n ~small_nb:32 in
   Printf.printf "  %-26s %-14s %-14s %s\n" "configuration" "TTC residual" "STC residual" "ratio";
   let compare_strategies label pmap =
-    let r_ttc =
-      residual_of ~options:{ Mp.default_options with strategy = Mp.Always_ttc } ~pmap
-        ~dense tiled
-    in
-    let r_stc = residual_of ~options:Mp.default_options ~pmap ~dense tiled in
+    let r_ttc = residual_of ~cmap:(Cm.ttc pmap) ~pmap ~dense tiled in
+    let r_stc = residual_of ~pmap ~dense tiled in
     Printf.printf "  %-26s %-14.3e %-14.3e %.2f\n" label r_ttc r_stc (r_stc /. r_ttc)
   in
   List.iter
@@ -63,7 +60,7 @@ let ablation_rule (scale : scale) =
   List.iter
     (fun u ->
       let pmap = Pm.of_tiled ~u_req:u tiled in
-      let r = residual_of ~options:Mp.default_options ~pmap ~dense tiled in
+      let r = residual_of ~pmap ~dense tiled in
       let frac p =
         match List.assoc_opt p (Pm.fractions pmap) with Some f -> 100. *. f | None -> 0.
       in
@@ -72,7 +69,7 @@ let ablation_rule (scale : scale) =
         Pm.of_element_fn ~u_req:u ~n:(30 * nb) ~nb (fun i j ->
           (if i = j then 1. else 0.) +. exp (-4.0e-3 *. float_of_int (abs (i - j))))
       in
-      let sim = run_sim ~strategy:Sim.Stc_auto ~machine sim_pmap in
+      let sim = run_sim ~machine sim_pmap in
       Printf.printf "  %-10.0e %-12.3e %4.0f /%3.0f /%3.0f /%3.0f %%          %.2fs\n" u r
         (frac Fp.Fp64) (frac Fp.Fp32) (frac Fp.Fp16_32) (frac Fp.Fp16) sim.Sim.makespan)
     [ 1e-12; 1e-9; 1e-6; 1e-4; 1e-2 ]
@@ -86,7 +83,7 @@ let ablation_bf16 (scale : scale) =
   List.iter
     (fun (label, chain) ->
       let pmap = Pm.of_tiled ~chain ~u_req:1e-6 tiled in
-      let r = residual_of ~options:Mp.default_options ~pmap ~dense tiled in
+      let r = residual_of ~pmap ~dense tiled in
       Printf.printf "  %-18s residual %.3e  mix:" label r;
       List.iter
         (fun (p, f) -> Printf.printf " %s %.0f%%" (Fp.name p) (100. *. f))

@@ -24,19 +24,19 @@ let run (scale : scale) =
           label r.Sim.makespan r.Sim.energy.Energy.energy_joules
           r.Sim.energy.Energy.avg_power r.Sim.energy.Energy.gflops_per_watt
       in
-      let r64 = run_sim ~strategy:Sim.Stc_auto ~machine (Pm.uniform ~nt:ntiles Fp.Fp64) in
+      let r64 = run_sim ~machine (Pm.uniform ~nt:ntiles Fp.Fp64) in
       report "FP64" r64;
       List.iter
         (fun app ->
           let pmap = app_precision_map app ~n in
-          let r = run_sim ~strategy:Sim.Stc_auto ~machine pmap in
+          let r = run_sim ~machine pmap in
           report app.app_name r;
           Printf.printf "      energy saving vs FP64: %.1f%%\n"
             (100. *. (1. -. (r.Sim.energy.Energy.energy_joules /. r64.Sim.energy.Energy.energy_joules))))
         applications;
       (* Power-vs-time series for the FP64 run (the nvidia-smi style plot). *)
       let rt =
-        run_sim ~collect_trace:true ~strategy:Sim.Stc_auto ~machine
+        run_sim ~collect_trace:true ~machine
           (Pm.uniform ~nt:(Stdlib.min ntiles 24) Fp.Fp64)
       in
       match rt.Sim.trace with

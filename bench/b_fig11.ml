@@ -21,10 +21,11 @@ let node_table (scale : scale) machine =
     (List.map
        (fun ntiles ->
          let cfg name = List.assoc name (fig8_configs ntiles) in
-         let r64 = run_sim ~strategy:Sim.Ttc_always ~machine (cfg "FP64") in
-         let r32 = run_sim ~strategy:Sim.Ttc_always ~machine (cfg "FP32") in
-         let ttc = run_sim ~strategy:Sim.Ttc_always ~machine (cfg "FP64/FP16") in
-         let stc = run_sim ~strategy:Sim.Stc_auto ~machine (cfg "FP64/FP16") in
+         let r64 = run_sim ~machine (cfg "FP64") in
+         let r32 = run_sim ~machine (cfg "FP32") in
+         let h16 = cfg "FP64/FP16" in
+         let ttc = run_sim ~cmap:(Cm.ttc h16) ~machine h16 in
+         let stc = run_sim ~machine h16 in
          [
            string_of_int (ntiles * nb);
            tflops_str r64;
@@ -36,18 +37,18 @@ let node_table (scale : scale) machine =
        sizes);
   (* Scaling from one GPU to the node at a common size. *)
   let ntiles = Stdlib.min fp64_limit 24 in
-  let one = run_sim ~strategy:Sim.Stc_auto ~machine:(Machine.single_gpu gpu.Gpu.generation)
+  let one = run_sim ~machine:(Machine.single_gpu gpu.Gpu.generation)
       (Pm.uniform ~nt:ntiles Fp.Fp64) in
-  let node = run_sim ~strategy:Sim.Stc_auto ~machine (Pm.uniform ~nt:ntiles Fp.Fp64) in
+  let node = run_sim ~machine (Pm.uniform ~nt:ntiles Fp.Fp64) in
   Printf.printf "  1 GPU -> %d GPUs speedup at N=%d: %.2fx (linear = %d)\n" g (ntiles * nb)
     (one.Sim.makespan /. node.Sim.makespan)
     g;
   (* Efficiency summary at ~3/4 of the memory limit, clear of LRU
      thrashing at the very edge. *)
   let nt_eff = Stdlib.max 16 (3 * fp64_limit / 4) in
-  let r64 = run_sim ~strategy:Sim.Stc_auto ~machine (Pm.uniform ~nt:nt_eff Fp.Fp64) in
+  let r64 = run_sim ~machine (Pm.uniform ~nt:nt_eff Fp.Fp64) in
   let r16 =
-    run_sim ~strategy:Sim.Stc_auto ~machine (Pm.two_level ~nt:nt_eff ~off_diag:Fp.Fp16)
+    run_sim ~machine (Pm.two_level ~nt:nt_eff ~off_diag:Fp.Fp16)
   in
   Printf.printf "  FP64 node efficiency %.1f%% (N=%d); FP64/FP16 vs FP64: %.1fx\n"
     (100. *. Sim.efficiency r64 ~peak_flops_per_gpu:(Gpu.peak_flops gpu Fp.Fp64))

@@ -17,7 +17,7 @@ let weak (scale : scale) =
          let g = nodes * 6 in
          let ntiles = int_of_float (Float.round (sqrt (400. *. float_of_int g))) in
          let machine = Machine.summit ~nodes () in
-         let r = run_sim ~strategy:Sim.Stc_auto ~machine (Pm.uniform ~nt:ntiles Fp.Fp64) in
+         let r = run_sim ~machine (Pm.uniform ~nt:ntiles Fp.Fp64) in
          [
            string_of_int nodes;
            string_of_int g;
@@ -39,7 +39,7 @@ let strong (scale : scale) =
     (List.map
        (fun nodes ->
          let machine = Machine.summit ~nodes () in
-         let r = run_sim ~strategy:Sim.Stc_auto ~machine (Pm.uniform ~nt:ntiles Fp.Fp64) in
+         let r = run_sim ~machine (Pm.uniform ~nt:ntiles Fp.Fp64) in
          [
            string_of_int nodes;
            string_of_int (nodes * 6);
@@ -64,12 +64,12 @@ let mp_effect (scale : scale) =
     (List.map
        (fun ntiles ->
          let n = ntiles * nb in
-         let t64 = run_sim ~strategy:Sim.Stc_auto ~machine (Pm.uniform ~nt:ntiles Fp.Fp64) in
-         let t32 = run_sim ~strategy:Sim.Stc_auto ~machine (Pm.uniform ~nt:ntiles Fp.Fp32) in
+         let t64 = run_sim ~machine (Pm.uniform ~nt:ntiles Fp.Fp64) in
+         let t32 = run_sim ~machine (Pm.uniform ~nt:ntiles Fp.Fp32) in
          let apps =
            List.map
              (fun app ->
-               run_sim ~strategy:Sim.Stc_auto ~machine (app_precision_map app ~n))
+               run_sim ~machine (app_precision_map app ~n))
              applications
          in
          let best =

@@ -3,7 +3,6 @@
    classification, on a small synthetic example. *)
 
 open Common
-module Cm = Geomix_core.Comm_map
 
 let run (_ : scale) =
   section "fig2_4" "Precision maps: kernel execution, storage, communication (STC/TTC)";

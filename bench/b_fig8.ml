@@ -32,20 +32,19 @@ let run (scale : scale) =
       let rows =
         List.map
           (fun ntiles ->
-            let t config strategy =
-              (run_sim ~strategy ~machine config).Sim.makespan
-            in
+            let t ?cmap config = (run_sim ?cmap ~machine config).Sim.makespan in
+            let ttc config = t ~cmap:(Cm.ttc config) config in
             let cfg name = List.assoc name (fig8_configs ntiles) in
             let fp64 =
               if ntiles <= fp64_limit then
-                Printf.sprintf "%s" (tflops_str (run_sim ~strategy:Sim.Ttc_always ~machine (cfg "FP64")))
+                Printf.sprintf "%s" (tflops_str (run_sim ~machine (cfg "FP64")))
               else "-"
             in
-            let fp32 = tflops_str (run_sim ~strategy:Sim.Ttc_always ~machine (cfg "FP32")) in
-            let h32_ttc = t (cfg "FP64/FP16_32") Sim.Ttc_always in
-            let h32_stc = t (cfg "FP64/FP16_32") Sim.Stc_auto in
-            let h16_ttc = t (cfg "FP64/FP16") Sim.Ttc_always in
-            let h16_stc = t (cfg "FP64/FP16") Sim.Stc_auto in
+            let fp32 = tflops_str (run_sim ~machine (cfg "FP32")) in
+            let h32_ttc = ttc (cfg "FP64/FP16_32") in
+            let h32_stc = t (cfg "FP64/FP16_32") in
+            let h16_ttc = ttc (cfg "FP64/FP16") in
+            let h16_stc = t (cfg "FP64/FP16") in
             let flops = Geomix_precision.Flops.cholesky_tiled ~nt:ntiles ~nb in
             let tf t = Printf.sprintf "%.1f" (flops /. t /. 1e12) in
             [
@@ -63,10 +62,10 @@ let run (scale : scale) =
       Table.print ~align:(List.map (fun _ -> Table.Right) headers) ~headers rows;
       (* Efficiency summary at the largest FP64-feasible size. *)
       let r64 =
-        run_sim ~strategy:Sim.Stc_auto ~machine (Pm.uniform ~nt:fp64_limit Fp.Fp64)
+        run_sim ~machine (Pm.uniform ~nt:fp64_limit Fp.Fp64)
       in
       let r16 =
-        run_sim ~strategy:Sim.Stc_auto ~machine
+        run_sim ~machine
           (Pm.two_level ~nt:fp64_limit ~off_diag:Fp.Fp16)
       in
       Printf.printf "  FP64 efficiency: %.1f%% of peak;  FP64/FP16 vs FP64 speedup: %.1fx\n"

@@ -10,7 +10,7 @@ let run (scale : scale) =
   let ntiles = if scale.full then 55 else 40 in
   List.iter
     (fun (name, pmap) ->
-      let r = run_sim ~collect_trace:true ~strategy:Sim.Stc_auto ~machine pmap in
+      let r = run_sim ~collect_trace:true ~machine pmap in
       match r.Sim.trace with
       | None -> ()
       | Some tr ->

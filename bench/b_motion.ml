@@ -7,7 +7,6 @@
    CI bench gate (BENCH_smoke.json). *)
 
 open Common
-module Cm = Geomix_core.Comm_map
 module Bench_json = Geomix_obs.Bench_json
 
 let motion_row (cname, pmap) ~nb =
@@ -72,8 +71,8 @@ let rec smoke_metrics () =
      enough that the d2d/nic byte counters are exercised. *)
   let machine = Machine.summit ~nodes:2 () in
   let pmap = Pm.two_level ~nt:ntiles ~off_diag:Fp.Fp16_32 in
-  let stc = run_sim ~strategy:Sim.Stc_auto ~machine pmap in
-  let ttc = run_sim ~strategy:Sim.Ttc_always ~machine pmap in
+  let stc = run_sim ~machine pmap in
+  let ttc = run_sim ~cmap:(Cm.ttc pmap) ~machine pmap in
   let cm = Cm.compute pmap in
   let m = Cm.motion cm pmap ~nb in
   let open Bench_json in

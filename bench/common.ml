@@ -7,6 +7,7 @@ module Gpu = Geomix_gpusim.Gpu_specs
 module Machine = Geomix_gpusim.Machine
 module Pm = Geomix_core.Precision_map
 module Sim = Geomix_core.Sim_cholesky
+module Cm = Geomix_core.Comm_map
 
 type scale = { full : bool }
 
@@ -33,10 +34,10 @@ let fig8_configs ntiles =
     ("FP64/FP16", Pm.two_level ~nt:ntiles ~off_diag:Fp.Fp16);
   ]
 
-let run_sim ?(collect_trace = false) ~strategy ~machine pmap =
-  Sim.run
-    ~options:{ Sim.default_options with strategy; collect_trace }
-    ~machine ~pmap ~nb ()
+(* [?cmap] is the conversion strategy: Algorithm 2's map by default,
+   [Comm_map.ttc pmap] for the always-TTC baseline. *)
+let run_sim ?collect_trace ?cmap ~machine pmap =
+  Sim.run ?collect_trace ?cmap ~machine ~pmap ~nb ()
 
 let tflops_str r = Printf.sprintf "%.1f" r.Sim.tflops
 

@@ -99,13 +99,6 @@ let spd_test_matrix ~n ~nb =
   Geomix_tile.Tiled.init ~n ~nb (fun i j ->
       (if i = j then 1.0 else 0.) +. exp (-0.05 *. float_of_int (abs (i - j))))
 
-let cov_of ~family ~sigma2 ~beta ~nu ~nugget =
-  match family with
-  | Covariance.Sqexp -> Covariance.sqexp ~nugget ~sigma2 ~beta ()
-  | Covariance.Matern -> Covariance.matern ~nugget ~sigma2 ~beta ~nu ()
-  | Covariance.Powexp -> Covariance.powexp ~nugget ~sigma2 ~beta ~power:nu ()
-  | Covariance.Spherical -> Covariance.spherical ~nugget ~sigma2 ~beta ()
-
 let sites ~dims ~seed ~n =
   let rng = Rng.create ~seed in
   Locations.morton_sort
@@ -116,7 +109,7 @@ let sites ~dims ~seed ~n =
 
 let precision_map_cmd =
   let run family sigma2 beta nu nugget dims seed u_req n nb render =
-    let cov = cov_of ~family ~sigma2 ~beta ~nu ~nugget in
+    let cov = Covariance.of_family ~nugget family ~sigma2 ~beta ~nu in
     let locs = sites ~dims ~seed ~n in
     let pmap = Pm.of_element_fn ~u_req ~n ~nb (Covariance.element cov locs) in
     Printf.printf "Precision map: order %d, tile %d, %dx%d tiles, u_req %.1e\n" n nb
@@ -144,7 +137,7 @@ let simulate_cmd =
     Arg.enum
       [ ("v100", `V100); ("a100", `A100); ("h100", `H100); ("summit", `Summit); ("guyot", `Guyot) ]
   in
-  let strategy_conv = Arg.enum [ ("stc", Sim.Stc_auto); ("ttc", Sim.Ttc_always) ] in
+  let strategy_conv = Arg.enum [ ("stc", `Stc); ("ttc", `Ttc) ] in
   let run machine nodes ntiles config strategy nb trace_json gantt =
     let machine =
       match machine with
@@ -156,10 +149,8 @@ let simulate_cmd =
     in
     let pmap = pmap_of_config ~ntiles config in
     let collect_trace = gantt || trace_json <> None in
-    let r =
-      Sim.run ~options:{ Sim.default_options with strategy; collect_trace } ~machine
-        ~pmap ~nb ()
-    in
+    let cmap = match strategy with `Stc -> None | `Ttc -> Some (Cm.ttc pmap) in
+    let r = Sim.run ~collect_trace ?cmap ~machine ~pmap ~nb () in
     Printf.printf "machine          %s (%d GPUs)\n" r.Sim.machine_name r.Sim.ngpus;
     Printf.printf "matrix           %d (tile %d)\n" r.Sim.n r.Sim.nb;
     Printf.printf "makespan         %.3f s\n" r.Sim.makespan;
@@ -190,7 +181,7 @@ let simulate_cmd =
   in
   let nodes_arg = Arg.(value & opt int 1 & info [ "nodes" ] ~doc:"Summit node count.") in
   let strategy_arg =
-    Arg.(value & opt strategy_conv Sim.Stc_auto & info [ "strategy" ] ~doc:"stc|ttc.")
+    Arg.(value & opt strategy_conv `Stc & info [ "strategy" ] ~doc:"stc|ttc.")
   in
   let trace_arg =
     Arg.(
@@ -301,7 +292,7 @@ let stats_cmd =
 
 let mle_cmd =
   let run family sigma2 beta nu nugget dims seed n u_req exact max_evals =
-    let truth = cov_of ~family ~sigma2 ~beta ~nu ~nugget in
+    let truth = Covariance.of_family ~nugget family ~sigma2 ~beta ~nu in
     let locs = sites ~dims ~seed ~n in
     let rng = Rng.create ~seed:(seed + 1) in
     let z = Field.synthesize ~rng ~cov:truth locs in

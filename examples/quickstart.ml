@@ -55,12 +55,11 @@ let () =
   Printf.printf "log|Sigma| = %.4f,   z' Sigma^-1 z = %.4f\n\n" (Mp.log_det l) quad;
 
   (* 6. What would this cost on a real GPU?  Same precision map, simulated
-        V100, both conversion strategies. *)
+        V100, both conversion strategies: Algorithm 2's communication map
+        (the default) and the always-TTC map. *)
   let machine = Machine.single_gpu Gpu.V100 in
-  let sim strategy =
-    Sim.run ~options:{ Sim.default_options with strategy } ~machine ~pmap ~nb:2048 ()
-  in
-  let stc = sim Sim.Stc_auto and ttc = sim Sim.Ttc_always in
+  let sim ?cmap () = Sim.run ?cmap ~machine ~pmap ~nb:2048 () in
+  let stc = sim () and ttc = sim ~cmap:(Cm.ttc pmap) () in
   let fp64 =
     Sim.run ~machine ~pmap:(Pm.uniform ~nt:(Pm.nt pmap) Fp.Fp64) ~nb:2048 ()
   in

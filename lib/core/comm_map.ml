@@ -94,6 +94,18 @@ let compute pmap =
   done;
   { nt = n; comm; strat }
 
+(* The always-TTC baseline of refs [18]/[38] as a map: every broadcast
+   ships its storage format and nothing converts at the producer. *)
+let ttc pmap =
+  let n = Precision_map.nt pmap in
+  let comm = Array.make (n * (n + 1) / 2) Fpformat.S_fp64 in
+  for i = 0 to n - 1 do
+    for j = 0 to i do
+      comm.(pidx i j) <- Precision_map.storage pmap i j
+    done
+  done;
+  { nt = n; comm; strat = Array.make (Array.length comm) Ttc }
+
 let equal a b = a.nt = b.nt && a.comm = b.comm && a.strat = b.strat
 
 (* Shipped format of tile (i, j) under map [t]: the transfer format for STC

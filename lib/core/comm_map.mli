@@ -33,6 +33,12 @@ val compute : Precision_map.t -> t
 (** Runs Algorithm 2 over the kernel-precision map — O(NT³) like the
     paper's, and embarrassingly parallel per tile. *)
 
+val ttc : Precision_map.t -> t
+(** The always-TTC baseline of refs [18]/[38]: every tile is TTC and ships
+    its storage format.  Passed as [?cmap] to a factorization or
+    simulation, it is the prior-art conversion strategy; its {!motion} has
+    [bytes_stc = bytes_ttc] and [conv_stc = conv_ttc]. *)
+
 val nt : t -> int
 
 val comm_scalar : t -> int -> int -> Fpformat.scalar

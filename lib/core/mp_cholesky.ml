@@ -15,46 +15,27 @@ module Span = Geomix_obs.Span
 module Profile = Geomix_obs.Profile
 module Guard = Geomix_integrity.Guard
 
-type strategy = Automatic | Always_ttc
-
-type options = {
-  fidelity : Blas_emul.fidelity;
-  strategy : strategy;
-  model_comm_rounding : bool;
-}
-
-let default_options =
-  { fidelity = Blas_emul.Boundary; strategy = Automatic; model_comm_rounding = true }
-
 let pidx i j = (i * (i + 1) / 2) + j
 
-let comm_conversion ?cmap options pmap =
-  (match cmap with
-  | Some cm when Comm_map.nt cm <> Precision_map.nt pmap ->
-    invalid_arg "Mp_cholesky.comm_conversion: comm map / precision map tile mismatch"
-  | _ -> ());
-  (* The communication map only exists when the Automatic strategy models
-     transfer rounding; otherwise consumers read the stored tile. *)
-  if options.model_comm_rounding && options.strategy = Automatic then begin
-    let cm = match cmap with Some cm -> cm | None -> Comm_map.compute pmap in
-    fun i j ->
-      if Comm_map.strategy cm i j = Comm_map.Stc then
-        Some (Comm_map.comm_scalar cm i j)
-      else None
-  end
-  else fun _ _ -> None
+let comm_conversion ?cmap pmap =
+  let cm = match cmap with Some cm -> cm | None -> Comm_map.compute pmap in
+  if Comm_map.nt cm <> Precision_map.nt pmap then
+    invalid_arg "Mp_cholesky.comm_conversion: comm map / precision map tile mismatch";
+  fun i j ->
+    if Comm_map.strategy cm i j = Comm_map.Stc then Some (Comm_map.comm_scalar cm i j)
+    else None
 
 (* One factorization attempt.  [fault_round] feeds the attempt slot of the
    pivot and SDC fault decisions, so each {!factorize_robust} round redraws
    independently; a plain {!factorize} is round 1. *)
-let factorize_round ?(options = default_options) ?pool ?bus ?profile ?faults
-    ?retry ?obs ?integrity ?cmap ?observe ?job ~fault_round ~pmap a =
+let factorize_round ?pool ?bus ?profile ?faults ?retry ?obs ?integrity ?cmap ?observe
+    ?job ~fault_round ~pmap a =
   let ntiles = Tiled.nt a in
   if Precision_map.nt pmap <> ntiles then
     invalid_arg "Mp_cholesky.factorize: precision map / matrix tile mismatch";
   (* The conversion a publish applies to produce the broadcast form:
      [None] means consumers read the stored tile itself. *)
-  let comm_conversion = comm_conversion ?cmap options pmap in
+  let comm_conversion = comm_conversion ?cmap pmap in
   let span = Option.bind job Pool.job_span in
   let nb = Tiled.nb a in
   let dag = Cholesky_dag.create ~nt:ntiles in
@@ -281,7 +262,6 @@ let factorize_round ?(options = default_options) ?pool ?bus ?profile ?faults
     done;
     !low
   in
-  let fidelity = options.fidelity in
   let emit ?level name fields =
     match bus with
     | None -> ()
@@ -301,7 +281,7 @@ let factorize_round ?(options = default_options) ?pool ?bus ?profile ?faults
       verify_inout (Task.Potrf k) k k;
       (* Re-raise pivot failures with the global row index, so recovery can
          identify the offending diagonal block as [pivot / nb]. *)
-      (try Blas_emul.potrf_lower ~fidelity ~prec:(exec_prec (Task.Potrf k)) tile
+      (try Blas_emul.potrf_lower ~prec:(exec_prec (Task.Potrf k)) tile
        with Blas.Not_positive_definite p ->
          raise (Blas.Not_positive_definite ((k * nb) + p)));
       note_range ~i:k ~j:k tile;
@@ -317,7 +297,7 @@ let factorize_round ?(options = default_options) ?pool ?bus ?profile ?faults
     | Task.Trsm (m, k) ->
       let b = Tiled.tile a m k in
       verify_inout (Task.Trsm (m, k)) m k;
-      Blas_emul.trsm_right_lower_trans ~fidelity
+      Blas_emul.trsm_right_lower_trans
         ~prec:(exec_prec (Task.Trsm (m, k)))
         ~l:(read k k) b;
       note_range ~i:m ~j:k b;
@@ -326,16 +306,15 @@ let factorize_round ?(options = default_options) ?pool ?bus ?profile ?faults
     | Task.Syrk (m, k) ->
       let c = Tiled.tile a m m in
       verify_inout (Task.Syrk (m, k)) m m;
-      Blas_emul.syrk_lower ~fidelity
-        ~prec:(exec_prec (Task.Syrk (m, k)))
-        ~alpha:(-1.) (read m k) ~beta:1. c;
+      Blas_emul.syrk_lower ~prec:(exec_prec (Task.Syrk (m, k))) ~alpha:(-1.) (read m k)
+        ~beta:1. c;
       note_range ~i:m ~j:m c;
       stamp_stored m m;
       corrupt_stored (Task.Syrk (m, k)) m m
     | Task.Gemm (m, n, k) ->
       let c = Tiled.tile a m n in
       verify_inout (Task.Gemm (m, n, k)) m n;
-      Blas_emul.gemm_nt ~fidelity
+      Blas_emul.gemm_nt
         ~prec:(exec_prec (Task.Gemm (m, n, k)))
         ~alpha:(-1.) (read m k) (read n k) ~beta:1. c;
       note_range ~i:m ~j:n c;
@@ -489,10 +468,10 @@ let factorize_round ?(options = default_options) ?pool ?bus ?profile ?faults
     Mat.zero_upper (Tiled.tile a k k)
   done
 
-let factorize ?options ?pool ?bus ?profile ?faults ?retry ?obs ?integrity ?cmap
-    ?observe ?job ~pmap a =
-  factorize_round ?options ?pool ?bus ?profile ?faults ?retry ?obs ?integrity
-    ?cmap ?observe ?job ~fault_round:1 ~pmap a
+let factorize ?pool ?bus ?profile ?faults ?retry ?obs ?integrity ?cmap ?observe
+    ?job ~pmap a =
+  factorize_round ?pool ?bus ?profile ?faults ?retry ?obs ?integrity ?cmap ?observe
+    ?job ~fault_round:1 ~pmap a
 
 (* Precision-escalation recovery. *)
 
@@ -510,8 +489,11 @@ type report = {
 let restore_tiles ~from a =
   Tiled.iter_lower from (fun ~i ~j m -> Mat.blit ~src:m ~dst:(Tiled.tile a i j))
 
-let factorize_robust ?options ?pool ?bus ?profile ?faults ?retry ?obs ?integrity
-    ?cmap ?(max_band_escalations = 4) ?job ~pmap a =
+(* Band-scoped retries before the whole map is promoted. *)
+let band_budget = 4
+
+let factorize_robust ?pool ?bus ?profile ?faults ?retry ?obs ?integrity ?cmap ?job
+    ~pmap a =
   let note_band, note_full, note_indefinite =
     match obs with
     | None -> (ignore, ignore, ignore)
@@ -535,8 +517,8 @@ let factorize_robust ?options ?pool ?bus ?profile ?faults ?retry ?obs ?integrity
        must re-derive their transfers. *)
     let cmap = if round = 1 then cmap else None in
     match
-      factorize_round ?options ?pool ?bus ?profile ?faults ?retry ?obs
-        ?integrity ?cmap ?job ~fault_round:round ~pmap a
+      factorize_round ?pool ?bus ?profile ?faults ?retry ?obs ?integrity ?cmap
+        ?job ~fault_round:round ~pmap a
     with
     | () -> { outcome = Factorized; escalations = List.rev events; rounds = round; pmap }
     | exception exn -> (
@@ -559,7 +541,7 @@ let factorize_robust ?options ?pool ?bus ?profile ?faults ?retry ?obs ?integrity
         end
         else
           let k = p / Tiled.nb a in
-          if List.mem k bands || List.length events >= max_band_escalations then begin
+          if List.mem k bands || List.length events >= band_budget then begin
             note_full ();
             emit ~level:Events.Warn "escalate"
               [

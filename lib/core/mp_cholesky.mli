@@ -4,51 +4,32 @@
     The factorization executes the task DAG of {!Geomix_runtime.Cholesky_dag}
     on a {!Geomix_parallel.Pool}, each kernel running through the
     precision-emulated {!Geomix_linalg.Blas_emul} at the precision the map
-    assigns to its tile.  When communication modelling is on, consumers of a
-    broadcast tile read the {e shipped} form of the data: under STC that is
-    the tile down-converted once to the communication format of Algorithm 2,
-    so the accuracy consequences of the automated conversion strategy — not
-    just its speed — are reproduced. *)
+    assigns to its tile.  Consumers of a broadcast tile read the {e shipped}
+    form of the data: under STC that is the tile down-converted once to the
+    communication format of Algorithm 2, so the accuracy consequences of the
+    automated conversion strategy — not just its speed — are reproduced.
+    The conversion strategy is the communication map: {!Comm_map.compute}
+    (the default) is the paper's per-tile STC/TTC decision, and
+    {!Comm_map.ttc} the always-TTC baseline of refs [18]/[38]. *)
 
 open Geomix_tile
-module Blas_emul = Geomix_linalg.Blas_emul
-
-type strategy =
-  | Automatic   (** the paper's contribution: per-tile STC/TTC (Algorithm 2) *)
-  | Always_ttc  (** prior art (refs [18], [38]): always ship storage precision *)
-
-type options = {
-  fidelity : Blas_emul.fidelity;
-  strategy : strategy;
-  model_comm_rounding : bool;
-      (** when false, consumers read full storage-precision data regardless
-          of strategy (isolates kernel-precision error from transfer
-          error — the [ablation_stc] experiment) *)
-}
-
-val default_options : options
-(** [Boundary] fidelity, [Automatic] strategy, communication rounding on. *)
 
 val comm_conversion :
   ?cmap:Comm_map.t ->
-  options ->
   Precision_map.t ->
   int ->
   int ->
   Geomix_precision.Fpformat.scalar option
-(** [comm_conversion ?cmap options pmap] is the transfer-form decision both
+(** [comm_conversion ?cmap pmap] is the transfer-form decision both
     factorization drivers ({!factorize} and {!Ooc_cholesky}) make for the
-    broadcast of tile (i, j): [Some s] when Algorithm 2 ships it converted
-    to [s] (STC), [None] when consumers read the stored tile itself (TTC,
-    the [Always_ttc] strategy, or communication rounding off).  The
-    communication map is [cmap], else [Comm_map.compute pmap], derived once
-    on partial application — and only when the [Automatic] strategy models
-    communication rounding.
+    broadcast of tile (i, j): [Some s] when the communication map ships it
+    converted to [s] (STC), [None] when consumers read the stored tile
+    itself (TTC).  The communication map is [cmap], else
+    [Comm_map.compute pmap], derived once on partial application.
     @raise Invalid_argument when [cmap]'s tile count differs from
     [pmap]'s. *)
 
 val factorize :
-  ?options:options ->
   ?pool:Geomix_parallel.Pool.t ->
   ?bus:Geomix_obs.Events.t ->
   ?profile:Geomix_obs.Profile.collector ->
@@ -68,11 +49,10 @@ val factorize :
 
     [?cmap] substitutes a caller-supplied communication map for the
     [Comm_map.compute pmap] the factorization would otherwise derive — the
-    entry point for range-driven transfer formats such as the autotuner's
-    FP8 overrides ({!Comm_map.override}) and the request server's memoized
-    maps ({!Geomix_serve.Cache}).  Only consulted when the [Automatic]
-    strategy models communication rounding; must have the matrix's tile
-    count.
+    always-TTC baseline ({!Comm_map.ttc}), range-driven transfer formats
+    such as the autotuner's FP8 overrides ({!Comm_map.override}) and the
+    request server's memoized maps ({!Geomix_serve.Cache}).  It must have
+    the matrix's tile count.
 
     Out-of-core factorization is {!Ooc_cholesky}'s job; this driver is
     in-core only.
@@ -221,7 +201,6 @@ type report = {
 }
 
 val factorize_robust :
-  ?options:options ->
   ?pool:Geomix_parallel.Pool.t ->
   ?bus:Geomix_obs.Events.t ->
   ?profile:Geomix_obs.Profile.collector ->
@@ -230,7 +209,6 @@ val factorize_robust :
   ?obs:Geomix_obs.Metrics.t ->
   ?integrity:Geomix_integrity.Guard.t ->
   ?cmap:Comm_map.t ->
-  ?max_band_escalations:int ->
   ?job:Geomix_parallel.Pool.job ->
   pmap:Precision_map.t ->
   Tiled.t ->
@@ -241,8 +219,8 @@ val factorize_robust :
     they re-derive their transfers as {!factorize} would.  On [Factorized] the
     matrix holds the factor computed under [report.pmap]; on [Indefinite]
     (and on any propagated execution fault) the matrix is restored to its
-    input values.  [max_band_escalations] (default 4) bounds the number of
-    band-scoped retries before promoting the full map.  With [?obs], records
+    input values.  At most 4 band-scoped retries run before the full map is
+    promoted.  With [?obs], records
     [recovery.band_escalations], [recovery.full_escalations] and
     [recovery.indefinite].  With [?bus], escalation decisions are narrated
     on component ["recovery"]: a Warn [escalate] event per promotion (with

@@ -23,7 +23,6 @@ type outcome =
 type ctx = {
   st : Store.t;
   pmap : Precision_map.t;
-  options : Mp_cholesky.options;
   comm_conversion : int -> int -> Geomix_precision.Fpformat.scalar option;
   nt : int;
   nb : int;
@@ -35,18 +34,16 @@ type ctx = {
 
 (* The matrix supplies the shape; the tile count is the precision map's,
    which both drivers have checked against the matrix or manifest. *)
-let mk_ctx ?(options = Mp_cholesky.default_options) ?cmap ?(checkpoint_every = 1)
-    ~store ~pmap a =
+let mk_ctx ?cmap ?(checkpoint_every = 1) ~store ~pmap a =
   if checkpoint_every < 1 then
     invalid_arg "Ooc_cholesky: checkpoint_every < 1";
   let nt = Precision_map.nt pmap in
   {
     st = store;
     pmap;
-    options;
     (* Mp_cholesky's own decision, so the shipped operands (and hence the
        factor) are bit-identical to the in-core driver's. *)
-    comm_conversion = Mp_cholesky.comm_conversion ?cmap options pmap;
+    comm_conversion = Mp_cholesky.comm_conversion ?cmap pmap;
     nt;
     nb = Tiled.nb a;
     n = Tiled.n a;
@@ -98,19 +95,16 @@ let publish ctx i j m =
    on-disk state between steps is always a consistent prefix. *)
 let step ctx j =
   ctx.cur := j;
-  let fidelity = ctx.options.Mp_cholesky.fidelity in
   let kernel_precision i j = Precision_map.get ctx.pmap i j in
   let prec kind = Task.exec_precision ~kernel_precision kind in
   let c = Store.acquire ctx.st (pidx j j) in
   for k = 0 to j - 1 do
     let mk, kk = read_ship ctx j k in
-    Blas_emul.syrk_lower ~fidelity
-      ~prec:(prec (Task.Syrk (j, k)))
-      ~alpha:(-1.) mk ~beta:1. c;
+    Blas_emul.syrk_lower ~prec:(prec (Task.Syrk (j, k))) ~alpha:(-1.) mk ~beta:1. c;
     Store.release ctx.st kk
   done;
   (* Re-raise pivot failures with the global row index, as Mp_cholesky. *)
-  (try Blas_emul.potrf_lower ~fidelity ~prec:(prec (Task.Potrf j)) c
+  (try Blas_emul.potrf_lower ~prec:(prec (Task.Potrf j)) c
    with Blas.Not_positive_definite p ->
      Store.release ctx.st (pidx j j);
      raise (Blas.Not_positive_definite ((j * ctx.nb) + p)));
@@ -121,16 +115,14 @@ let step ctx j =
     for k = 0 to j - 1 do
       let aik, k1 = read_ship ctx i k in
       let ajk, k2 = read_ship ctx j k in
-      Blas_emul.gemm_nt ~fidelity
+      Blas_emul.gemm_nt
         ~prec:(prec (Task.Gemm (i, j, k)))
         ~alpha:(-1.) aik ajk ~beta:1. b;
       Store.release ctx.st k2;
       Store.release ctx.st k1
     done;
     let l, kl = read_ship ctx j j in
-    Blas_emul.trsm_right_lower_trans ~fidelity
-      ~prec:(prec (Task.Trsm (i, j)))
-      ~l b;
+    Blas_emul.trsm_right_lower_trans ~prec:(prec (Task.Trsm (i, j))) ~l b;
     Store.release ctx.st kl;
     publish ctx i j b;
     Store.release ctx.st ~dirty:true (pidx i j)
@@ -178,10 +170,10 @@ let finalize ctx a =
   done;
   ckpt ctx ~completed:ctx.nt ~finalized:true
 
-let factorize ?options ?cmap ?checkpoint_every ~store ~pmap a =
+let factorize ?cmap ?checkpoint_every ~store ~pmap a =
   if Precision_map.nt pmap <> Tiled.nt a then
     invalid_arg "Ooc_cholesky.factorize: precision map / matrix tile mismatch";
-  let ctx = mk_ctx ?options ?cmap ?checkpoint_every ~store ~pmap a in
+  let ctx = mk_ctx ?cmap ?checkpoint_every ~store ~pmap a in
   install_priority ctx;
   Tiled.iter_lower a (fun ~i ~j m -> Store.put store (pidx i j) m);
   (* The epoch-1 checkpoint makes the pristine input durable: a crash at
@@ -191,7 +183,7 @@ let factorize ?options ?cmap ?checkpoint_every ~store ~pmap a =
   run_columns ctx ~from:0;
   finalize ctx a
 
-let resume ?options ?cmap ?checkpoint_every ?obs ?faults ?budget ?max_attempts
+let resume ?cmap ?checkpoint_every ?obs ?faults ?budget ?max_attempts
     ~dir ~init ~pmap () =
   let st, rcv = Store.recover ?obs ?faults ?budget ?max_attempts ~dir () in
   let geti key default =
@@ -214,12 +206,12 @@ let resume ?options ?cmap ?checkpoint_every ?obs ?faults ?budget ?max_attempts
     let a = init () in
     if Tiled.nt a <> nt then
       invalid_arg "Ooc_cholesky.resume: init () tile count mismatch";
-    factorize ?options ?cmap ?checkpoint_every ~store:st ~pmap a;
+    factorize ?cmap ?checkpoint_every ~store:st ~pmap a;
     (st, a, Restarted { quarantined = rcv.Store.quarantined })
   end
   else begin
     let a = if n > 0 && nb > 0 then Tiled.create ~n ~nb else init () in
-    let ctx = mk_ctx ?options ?cmap ?checkpoint_every ~store:st ~pmap a in
+    let ctx = mk_ctx ?cmap ?checkpoint_every ~store:st ~pmap a in
     install_priority ctx;
     (* Quarantined broadcast records are pure derivations of the verified
        stored factor: recompute them exactly as publish would. *)

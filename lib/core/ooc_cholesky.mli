@@ -11,7 +11,7 @@
     publishes.  Because each per-tile update chain is applied in the same
     [k]-ascending order the DAG serializes it in, with bit-identical
     operands, the factor is {e bitwise identical} to
-    {!Mp_cholesky.factorize} under the same options, precision map and
+    {!Mp_cholesky.factorize} under the same precision map and
     communication map — the property the parity tests pin.
 
     {b Eviction order.}  The driver installs the I/O-aware static
@@ -36,7 +36,6 @@ open Geomix_tile
 module Store = Geomix_ooc.Store
 
 val factorize :
-  ?options:Mp_cholesky.options ->
   ?cmap:Comm_map.t ->
   ?checkpoint_every:int ->
   store:Store.t ->
@@ -64,7 +63,6 @@ type outcome =
           itself is untrusted, so the run restarted from [init ()] *)
 
 val resume :
-  ?options:Mp_cholesky.options ->
   ?cmap:Comm_map.t ->
   ?checkpoint_every:int ->
   ?obs:Geomix_obs.Metrics.t ->

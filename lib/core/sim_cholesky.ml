@@ -11,18 +11,14 @@ module Exec_model = Geomix_gpusim.Exec_model
 module Energy = Geomix_gpusim.Energy
 module Heap = Geomix_util.Heap
 
-type strategy = Stc_auto | Ttc_always
-
-type options = { strategy : strategy; collect_trace : bool; cache_fraction : float }
-
-let default_options = { strategy = Stc_auto; collect_trace = false; cache_fraction = 0.88 }
+(* Usable fraction of each device's memory. *)
+let cache_fraction = 0.88
 
 type report = {
   machine_name : string;
   n : int;
   nb : int;
   ngpus : int;
-  strategy : strategy;
   makespan : float;
   total_flops : float;
   tflops : float;
@@ -49,25 +45,18 @@ let priority kind =
   in
   (((k * 4) + cls) * (4096 * 4096)) + a
 
-let run ?(options = default_options) ?cmap ~machine ~pmap ~nb () =
+let run ?(collect_trace = false) ?cmap ~machine ~pmap ~nb () =
   let nt = Precision_map.nt pmap in
   let n = nt * nb in
   let dag = Cholesky_dag.create ~nt in
-  (match cmap with
-  | Some cm when Comm_map.nt cm <> Precision_map.nt pmap ->
-    invalid_arg "Sim_cholesky.run: comm map / precision map tile mismatch"
-  | _ -> ());
-  let cmap =
-    match options.strategy with
-    | Stc_auto ->
-      Some (match cmap with Some cm -> cm | None -> Comm_map.compute pmap)
-    | Ttc_always -> None
-  in
+  let cmap = match cmap with Some cm -> cm | None -> Comm_map.compute pmap in
+  if Comm_map.nt cmap <> nt then
+    invalid_arg "Sim_cholesky.run: comm map / precision map tile mismatch";
   let ngpus = Machine.total_gpus machine in
   let gpu = machine.Machine.gpu in
   let devices =
     Array.init ngpus (fun _ ->
-      Device.create ~gpu ~capacity_bytes:(options.cache_fraction *. gpu.Gpu_specs.mem_bytes))
+      Device.create ~gpu ~capacity_bytes:(cache_fraction *. gpu.Gpu_specs.mem_bytes))
   in
   (* Full-duplex NICs: independent injection and reception timelines. *)
   let nic_out_free = Array.make machine.Machine.nodes 0. in
@@ -83,8 +72,6 @@ let run ?(options = default_options) ?cmap ~machine ~pmap ~nb () =
       storage.(pidx i j) <- Precision_map.storage pmap i j
     done
   done;
-  let transfer_scalar = Array.copy storage in
-  let is_stc = Array.make ntile false in
   let materialised = Array.make ntile false in
   (* Simulated time at which the final (broadcastable) version of a tile
      exists: PaRSEC forwards data eagerly, so transfers may start here
@@ -99,7 +86,7 @@ let run ?(options = default_options) ?cmap ~machine ~pmap ~nb () =
     | Some r -> r := !r +. dur
     | None -> Hashtbl.add busy prec (ref dur)
   in
-  let trace = if options.collect_trace then Some (Trace.create ()) else None in
+  let trace = if collect_trace then Some (Trace.create ()) else None in
   let tile_bytes scalar = Flops.tile_bytes ~nb ~scalar in
   (* Transfers.  Each occupies the copy streams of the devices involved (and
      the node NICs when crossing nodes); they overlap compute. *)
@@ -191,8 +178,6 @@ let run ?(options = default_options) ?cmap ~machine ~pmap ~nb () =
       | Some h -> Some (h, false)
       | None -> None)
   in
-  (* Available data form of a finalised broadcast tile. *)
-  let available_scalar idx = if is_stc.(idx) then transfer_scalar.(idx) else storage.(idx) in
   (* Per-task bookkeeping. *)
   let num_tasks = Cholesky_dag.num_tasks dag in
   let remaining = Cholesky_dag.in_degree dag in
@@ -243,7 +228,9 @@ let run ?(options = default_options) ?cmap ~machine ~pmap ~nb () =
       List.iter
         (fun (ri, rj) ->
           let ridx = pidx ri rj in
-          let avail = available_scalar ridx in
+          (* The DAG reads only finalised broadcast tiles, which exist in
+             the form the communication map ships. *)
+          let avail = Comm_map.shipped cmap pmap ri rj in
           if not (Device.resident dev ~key:ridx) then begin
             let bytes = tile_bytes avail in
             let d_node = Machine.node_of_gpu machine d_idx in
@@ -276,13 +263,10 @@ let run ?(options = default_options) ?cmap ~machine ~pmap ~nb () =
         match kind with Task.Potrf _ | Task.Trsm _ -> true | Task.Syrk _ | Task.Gemm _ -> false
       in
       let stc_conv =
-        if finalises then begin
-          match cmap with
-          | Some cm when Comm_map.strategy cm wi wj = Comm_map.Stc ->
-            incr conversions;
-            Exec_model.conversion_time gpu ~nb ~from:storage.(widx)
-              ~into:(Comm_map.comm_scalar cm wi wj)
-          | _ -> 0.
+        if finalises && Comm_map.strategy cmap wi wj = Comm_map.Stc then begin
+          incr conversions;
+          Exec_model.conversion_time gpu ~nb ~from:storage.(widx)
+            ~into:(Comm_map.comm_scalar cmap wi wj)
         end
         else 0.
       in
@@ -302,14 +286,7 @@ let run ?(options = default_options) ?cmap ~machine ~pmap ~nb () =
           }
       | None -> ());
       makespan := Float.max !makespan finish;
-      if finalises then begin
-        produced_at.(widx) <- finish;
-        match cmap with
-        | Some cm when Comm_map.strategy cm wi wj = Comm_map.Stc ->
-          is_stc.(widx) <- true;
-          transfer_scalar.(widx) <- Comm_map.comm_scalar cm wi wj
-        | _ -> ()
-      end;
+      if finalises then produced_at.(widx) <- finish;
       incr processed;
       List.iter
         (fun s ->
@@ -333,7 +310,6 @@ let run ?(options = default_options) ?cmap ~machine ~pmap ~nb () =
     n;
     nb;
     ngpus;
-    strategy = options.strategy;
     makespan = !makespan;
     total_flops;
     tflops = (if !makespan > 0. then total_flops /. !makespan /. 1e12 else 0.);

@@ -11,7 +11,7 @@
     - per-GPU LRU residency over the device memory, with dirty write-backs
       — the source of the host↔device traffic that dominates the
       memory-pressured single-GPU runs of Fig 8;
-    - broadcast transfers at the precision the conversion strategy
+    - broadcast transfers at the precision the communication map
       dictates: storage precision under TTC, the Algorithm 2 communication
       precision under STC (converted once at the producer);
     - per-consumer datatype-conversion charges whenever the available form
@@ -24,26 +24,11 @@ module Machine = Geomix_gpusim.Machine
 module Energy = Geomix_gpusim.Energy
 module Trace = Geomix_runtime.Trace
 
-type strategy =
-  | Stc_auto    (** automated conversion: STC wherever Algorithm 2 allows *)
-  | Ttc_always  (** baseline of refs [18]/[38]: always ship storage precision *)
-
-type options = {
-  strategy : strategy;
-  collect_trace : bool;   (** keep per-task events (occupancy/power plots);
-                              off by default — large runs have millions of
-                              tasks *)
-  cache_fraction : float; (** usable fraction of device memory (default 0.88) *)
-}
-
-val default_options : options
-
 type report = {
   machine_name : string;
   n : int;
   nb : int;
   ngpus : int;
-  strategy : strategy;
   makespan : float;          (** seconds *)
   total_flops : float;       (** algorithmic flop count of the factorization *)
   tflops : float;            (** total_flops / makespan / 1e12 *)
@@ -57,7 +42,7 @@ type report = {
 }
 
 val run :
-  ?options:options ->
+  ?collect_trace:bool ->
   ?cmap:Comm_map.t ->
   machine:Machine.t ->
   pmap:Precision_map.t ->
@@ -65,10 +50,15 @@ val run :
   unit ->
   report
 (** Simulate the factorization of an [nt·nb] matrix whose tile precisions
-    are given by [pmap] on [machine].  [?cmap] substitutes a caller-built
-    communication map (e.g. the autotuner's FP8 overrides,
-    {!Comm_map.override}) for the [Comm_map.compute pmap] default; only
-    consulted under [Stc_auto], and its tile count must match [pmap]'s. *)
+    are given by [pmap] on [machine], with 88% of each device's memory
+    usable as tile cache.  [?cmap] is the conversion strategy: the
+    [Comm_map.compute pmap] default is the automated conversion (STC
+    wherever Algorithm 2 allows), {!Comm_map.ttc} the always-TTC baseline
+    of refs [18]/[38], and a caller-built map such as the autotuner's FP8
+    overrides ({!Comm_map.override}) is simulated as given; its tile count
+    must match [pmap]'s.  [?collect_trace] (default false) keeps the
+    per-task events for occupancy and power plots — large runs have
+    millions of tasks. *)
 
 val efficiency : report -> peak_flops_per_gpu:float -> float
 (** Fraction of the aggregate theoretical peak achieved. *)

@@ -21,21 +21,18 @@ let check family ~sigma2 ~beta ~nu =
   | Powexp -> require "power must be in (0, 2]" (nu > 0. && nu <= 2.)
   | Sqexp | Spherical -> ()
 
-let sqexp ?(nugget = default_nugget) ~sigma2 ~beta () =
-  check Sqexp ~sigma2 ~beta ~nu:nan;
-  { family = Sqexp; sigma2; beta; nu = nan; nugget }
+let of_family ?(nugget = default_nugget) family ~sigma2 ~beta ~nu =
+  let nu = match family with Matern | Powexp -> nu | Sqexp | Spherical -> nan in
+  check family ~sigma2 ~beta ~nu;
+  { family; sigma2; beta; nu; nugget }
 
-let matern ?(nugget = default_nugget) ~sigma2 ~beta ~nu () =
-  check Matern ~sigma2 ~beta ~nu;
-  { family = Matern; sigma2; beta; nu; nugget }
+let sqexp ?nugget ~sigma2 ~beta () = of_family ?nugget Sqexp ~sigma2 ~beta ~nu:nan
+let matern ?nugget ~sigma2 ~beta ~nu () = of_family ?nugget Matern ~sigma2 ~beta ~nu
 
-let powexp ?(nugget = default_nugget) ~sigma2 ~beta ~power () =
-  check Powexp ~sigma2 ~beta ~nu:power;
-  { family = Powexp; sigma2; beta; nu = power; nugget }
+let powexp ?nugget ~sigma2 ~beta ~power () =
+  of_family ?nugget Powexp ~sigma2 ~beta ~nu:power
 
-let spherical ?(nugget = default_nugget) ~sigma2 ~beta () =
-  check Spherical ~sigma2 ~beta ~nu:nan;
-  { family = Spherical; sigma2; beta; nu = nan; nugget }
+let spherical ?nugget ~sigma2 ~beta () = of_family ?nugget Spherical ~sigma2 ~beta ~nu:nan
 
 (* {2 The Chebyshev fit of the scaled Bessel function}
 

@@ -28,6 +28,12 @@ val default_nugget : float
     levels, large enough to keep strongly-correlated squared-exponential
     matrices positive definite at reduced n. *)
 
+val of_family : ?nugget:float -> family -> sigma2:float -> beta:float -> nu:float -> t
+(** The covariance of [family]: [nu] is the Matérn smoothness or the
+    powered-exponential power, and is ignored by [Sqexp] and [Spherical].
+    The nugget defaults to {!default_nugget}, as in every constructor
+    below. *)
+
 val sqexp : ?nugget:float -> sigma2:float -> beta:float -> unit -> t
 (** Every constructor raises [Invalid_argument] naming the parameter
     unless [sigma2 > 0], [beta > 0] and the family's smoothness domain

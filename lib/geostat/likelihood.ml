@@ -7,11 +7,10 @@ module Fpformat = Geomix_precision.Fpformat
 
 type engine =
   | Exact
-  | Mixed of { u_req : float; nb : int; options : Mp_cholesky.options }
+  | Mixed of { u_req : float; nb : int }
   | Tlr of { tol : float; nb : int; u_req : float option }
 
-let mixed ?(options = Mp_cholesky.default_options) ~u_req ~nb () =
-  Mixed { u_req; nb; options }
+let mixed ~u_req ~nb () = Mixed { u_req; nb }
 
 type status =
   | Clean
@@ -54,10 +53,10 @@ let evaluate engine ~cov ~locs ~z =
     assemble ~n ~log_det:(Blas.log_det_from_chol l) ~quad_form
       ~precision_fractions:[ (Fpformat.Fp64, 1.) ]
       ()
-  | Mixed { u_req; nb; options } ->
+  | Mixed { u_req; nb } ->
     let a = Covariance.build_tiled cov locs ~nb in
     let pmap = Precision_map.of_tiled ~u_req a in
-    Mp_cholesky.factorize ~options ~pmap a;
+    Mp_cholesky.factorize ~pmap a;
     let y = Mp_cholesky.solve_lower a z in
     let quad_form = Array.fold_left (fun acc v -> acc +. (v *. v)) 0. y in
     assemble ~n ~log_det:(Mp_cholesky.log_det a) ~quad_form
@@ -79,18 +78,14 @@ let evaluate engine ~cov ~locs ~z =
     assemble ~n ~log_det:(Geomix_tlr.Tlr.log_det t) ~quad_form
       ~precision_fractions:fractions ()
 
-let evaluate_robust ?faults ?retry ?obs ?max_band_escalations engine ~cov ~locs
-    ~z =
+let evaluate_robust ?faults ?retry ?obs engine ~cov ~locs ~z =
   let n = Locations.count locs in
   assert (Array.length z = n);
   match engine with
-  | Mixed { u_req; nb; options } ->
+  | Mixed { u_req; nb } ->
     let a = Covariance.build_tiled cov locs ~nb in
     let pmap = Precision_map.of_tiled ~u_req a in
-    let report =
-      Mp_cholesky.factorize_robust ~options ?faults ?retry ?obs
-        ?max_band_escalations ~pmap a
-    in
+    let report = Mp_cholesky.factorize_robust ?faults ?retry ?obs ~pmap a in
     (match report.Mp_cholesky.outcome with
     | Mp_cholesky.Indefinite _ ->
       indefinite_evaluation

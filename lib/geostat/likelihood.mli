@@ -12,7 +12,6 @@ type engine =
   | Mixed of {
       u_req : float;                     (** accuracy of the norm rule *)
       nb : int;                          (** tile size *)
-      options : Geomix_core.Mp_cholesky.options;
     }
   | Tlr of {
       tol : float;                       (** TLR compression tolerance *)
@@ -22,8 +21,8 @@ type engine =
       (** tile low-rank factorization (the paper's future-work extension),
           optionally composed with the adaptive precision map *)
 
-val mixed : ?options:Geomix_core.Mp_cholesky.options -> u_req:float -> nb:int -> unit -> engine
-(** [Mixed] with {!Geomix_core.Mp_cholesky.default_options}. *)
+val mixed : u_req:float -> nb:int -> unit -> engine
+(** [Mixed { u_req; nb }]. *)
 
 type status =
   | Clean  (** factorized under the originally requested precision map *)
@@ -67,7 +66,6 @@ val evaluate_robust :
   ?faults:Geomix_fault.Fault.t ->
   ?retry:Geomix_fault.Retry.policy ->
   ?obs:Geomix_obs.Metrics.t ->
-  ?max_band_escalations:int ->
   engine ->
   cov:Covariance.t ->
   locs:Locations.t ->

@@ -28,17 +28,10 @@ let param_count = function
 
 let start_point settings family = Array.make (param_count family) settings.lower
 
-let template ~nugget family =
-  match family with
-  | Covariance.Sqexp -> Covariance.sqexp ~nugget ~sigma2:1. ~beta:1. ()
-  | Covariance.Matern -> Covariance.matern ~nugget ~sigma2:1. ~beta:1. ~nu:1. ()
-  | Covariance.Powexp -> Covariance.powexp ~nugget ~sigma2:1. ~beta:1. ~power:1. ()
-  | Covariance.Spherical -> Covariance.spherical ~nugget ~sigma2:1. ~beta:1. ()
-
 let fit ?(settings = default_settings) ?(nugget = Covariance.default_nugget) ~engine
     ~family ~locs ~z () =
   let dim = param_count family in
-  let base = template ~nugget family in
+  let base = Covariance.of_family ~nugget family ~sigma2:1. ~beta:1. ~nu:1. in
   (* Variance, range and smoothness are scale parameters: the optimiser
      works on log-θ, where the likelihood basin occupies a healthy fraction
      of the box instead of a sliver near the lower bound. Bounds, starting

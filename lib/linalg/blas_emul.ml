@@ -1,9 +1,7 @@
 module Fpformat = Geomix_precision.Fpformat
 module Rng = Geomix_util.Rng
 
-type fidelity = Per_op | Boundary
-
-(* Boundary kernels round their operands into scratch tiles recycled
+(* The kernels round their operands into scratch tiles recycled
    through one free list keyed by shape, instead of a fresh copy per call.
    The list is shared under a mutex rather than kept per domain: pool tasks
    run on several systhreads of one domain, so a per-domain tile could be
@@ -41,6 +39,8 @@ let release t =
     let free = Option.value ~default:[] (Hashtbl.find_opt scratch key) in
     if List.length free < scratch_keep then Hashtbl.replace scratch key (t :: free))
 
+(* Fig 1's accuracy model: tensor cores form exact products of the rounded
+   inputs and round every accumulation. *)
 let gemm_nt_per_op ~prec ~alpha a b ~beta c =
   let si = Fpformat.input_scalar prec and sa = Fpformat.accum_scalar prec in
   let r = Fpformat.round sa in
@@ -50,8 +50,6 @@ let gemm_nt_per_op ~prec ~alpha a b ~beta c =
     for i = 0 to m - 1 do
       let acc = ref (r (beta *. Mat.unsafe_get c i j)) in
       for p = 0 to k - 1 do
-        (* Tensor cores form exact products of the rounded inputs and round
-           only the accumulation. *)
         let prod = alpha *. Mat.unsafe_get ar i p *. Mat.unsafe_get br j p in
         acc := r (!acc +. prod)
       done;
@@ -59,74 +57,31 @@ let gemm_nt_per_op ~prec ~alpha a b ~beta c =
     done
   done
 
-let gemm_nt_boundary ~prec ~alpha a b ~beta c =
-  let si = Fpformat.input_scalar prec and sa = Fpformat.accum_scalar prec in
-  let ar = rounded_scratch si a and br = rounded_scratch si b in
-  Blas.gemm_nt ~alpha ar br ~beta c;
-  release ar;
-  release br;
-  Mat.round_inplace sa c
+let gemm_nt ~prec ~alpha a b ~beta c =
+  match prec with
+  | Fpformat.Fp64 -> Blas.gemm_nt ~alpha a b ~beta c
+  | _ ->
+    let si = Fpformat.input_scalar prec and sa = Fpformat.accum_scalar prec in
+    let ar = rounded_scratch si a and br = rounded_scratch si b in
+    Blas.gemm_nt ~alpha ar br ~beta c;
+    release ar;
+    release br;
+    Mat.round_inplace sa c
 
-let gemm_nt ~fidelity ~prec ~alpha a b ~beta c =
-  match (fidelity, prec) with
-  | _, Fpformat.Fp64 -> Blas.gemm_nt ~alpha a b ~beta c
-  | Per_op, _ -> gemm_nt_per_op ~prec ~alpha a b ~beta c
-  | Boundary, _ -> gemm_nt_boundary ~prec ~alpha a b ~beta c
-
-let syrk_lower_per_op ~prec ~alpha a ~beta c =
-  let si = Fpformat.input_scalar prec and sa = Fpformat.accum_scalar prec in
-  let r = Fpformat.round sa in
-  let ar = Mat.rounded si a in
-  let n = Mat.rows a and k = Mat.cols a in
-  for j = 0 to n - 1 do
-    for i = j to n - 1 do
-      let acc = ref (r (beta *. Mat.unsafe_get c i j)) in
-      for p = 0 to k - 1 do
-        let prod = alpha *. Mat.unsafe_get ar i p *. Mat.unsafe_get ar j p in
-        acc := r (!acc +. prod)
-      done;
-      Mat.unsafe_set c i j !acc
-    done
-  done
-
-let syrk_lower ~fidelity ~prec ~alpha a ~beta c =
-  match (fidelity, prec) with
-  | _, Fpformat.Fp64 -> Blas.syrk_lower ~alpha a ~beta c
-  | Per_op, _ -> syrk_lower_per_op ~prec ~alpha a ~beta c
-  | Boundary, _ ->
+let syrk_lower ~prec ~alpha a ~beta c =
+  match prec with
+  | Fpformat.Fp64 -> Blas.syrk_lower ~alpha a ~beta c
+  | _ ->
     let si = Fpformat.input_scalar prec and sa = Fpformat.accum_scalar prec in
     let ar = rounded_scratch si a in
     Blas.syrk_lower ~alpha ar ~beta c;
     release ar;
     Mat.round_inplace sa c
 
-let trsm_per_op ~prec ~l b =
-  let sa = Fpformat.accum_scalar prec in
-  let r = Fpformat.round sa in
-  let lr = Mat.rounded sa l in
-  let n = Mat.cols b and m = Mat.rows b in
-  for j = 0 to n - 1 do
-    for p = 0 to j - 1 do
-      let ljp = Mat.unsafe_get lr j p in
-      if ljp <> 0. then
-        for i = 0 to m - 1 do
-          Mat.unsafe_set b i j
-            (r (Mat.unsafe_get b i j -. r (Mat.unsafe_get b i p *. ljp)))
-        done
-    done;
-    let d = Mat.unsafe_get lr j j in
-    for i = 0 to m - 1 do
-      Mat.unsafe_set b i j (r (Mat.unsafe_get b i j /. d))
-    done
-  done
-
-let trsm_right_lower_trans ~fidelity ~prec ~l b =
-  match (fidelity, prec) with
-  | _, Fpformat.Fp64 -> Blas.trsm_right_lower_trans ~l b
-  | Per_op, _ ->
-    Mat.round_inplace (Fpformat.accum_scalar prec) b;
-    trsm_per_op ~prec ~l b
-  | Boundary, _ ->
+let trsm_right_lower_trans ~prec ~l b =
+  match prec with
+  | Fpformat.Fp64 -> Blas.trsm_right_lower_trans ~l b
+  | _ ->
     let sa = Fpformat.accum_scalar prec in
     let lr = rounded_scratch sa l in
     Mat.round_inplace sa b;
@@ -134,34 +89,10 @@ let trsm_right_lower_trans ~fidelity ~prec ~l b =
     release lr;
     Mat.round_inplace sa b
 
-let potrf_per_op ~prec a =
-  let sa = Fpformat.accum_scalar prec in
-  let r = Fpformat.round sa in
-  let n = Mat.rows a in
-  Mat.round_inplace sa a;
-  for j = 0 to n - 1 do
-    let s = ref (Mat.unsafe_get a j j) in
-    for p = 0 to j - 1 do
-      let x = Mat.unsafe_get a j p in
-      s := r (!s -. r (x *. x))
-    done;
-    if not (!s > 0.) then raise (Blas.Not_positive_definite j);
-    let d = r (sqrt !s) in
-    Mat.unsafe_set a j j d;
-    for i = j + 1 to n - 1 do
-      let s = ref (Mat.unsafe_get a i j) in
-      for p = 0 to j - 1 do
-        s := r (!s -. r (Mat.unsafe_get a i p *. Mat.unsafe_get a j p))
-      done;
-      Mat.unsafe_set a i j (r (!s /. d))
-    done
-  done
-
-let potrf_lower ~fidelity ~prec a =
-  match (fidelity, prec) with
-  | _, Fpformat.Fp64 -> Blas.potrf_lower a
-  | Per_op, _ -> potrf_per_op ~prec a
-  | Boundary, _ ->
+let potrf_lower ~prec a =
+  match prec with
+  | Fpformat.Fp64 -> Blas.potrf_lower a
+  | _ ->
     let sa = Fpformat.accum_scalar prec in
     Mat.round_inplace sa a;
     Blas.potrf_lower a;
@@ -173,5 +104,7 @@ let gemm_accuracy ~prec ~n ~rng =
   let c_ref = Mat.create ~rows:n ~cols:n in
   Blas.gemm_nt ~alpha:1. a b ~beta:0. c_ref;
   let c = Mat.create ~rows:n ~cols:n in
-  gemm_nt ~fidelity:Per_op ~prec ~alpha:1. a b ~beta:0. c;
+  (match prec with
+  | Fpformat.Fp64 -> Blas.gemm_nt ~alpha:1. a b ~beta:0. c
+  | _ -> gemm_nt_per_op ~prec ~alpha:1. a b ~beta:0. c);
   Mat.rel_diff c ~reference:c_ref

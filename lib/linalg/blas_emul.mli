@@ -6,22 +6,17 @@
 
     - operands are first rounded to the precision's {e input} scalar (FP16
       for the tensor-core modes FP16_32/BF16_32, TF32 for TF32, ...);
-    - arithmetic accumulates in the precision's {e accumulate} scalar.
+    - results are rounded to the precision's {e accumulate} scalar.
 
-    Two fidelities trade accuracy modelling for speed:
-
-    - [Per_op] rounds after {e every} accumulation — bit-accurate with
-      respect to the modelled hardware, O(n³) roundings, used by the GEMM
-      accuracy study (Fig 1) and by unit tests;
-    - [Boundary] rounds operands and results at tile boundaries only and
-      accumulates in binary64 — O(n²) roundings.  It preserves the dominant
-      error source (operand quantisation) and is used by the Monte-Carlo
-      MLE studies (Figs 5–6), as recorded in DESIGN.md. *)
-
-type fidelity = Per_op | Boundary
+    The kernels round operands and results at tile boundaries only and
+    accumulate in binary64 — O(n²) roundings per tile.  This preserves the
+    dominant error source (operand quantisation) and is what every
+    factorization runs, as recorded in DESIGN.md.  FP64 runs the reference
+    kernel unchanged.  Rounding after {e every} accumulation, the
+    hardware-accurate O(n³) model, is kept only for the Fig 1 study
+    ({!gemm_accuracy}). *)
 
 val gemm_nt :
-  fidelity:fidelity ->
   prec:Geomix_precision.Fpformat.t ->
   alpha:float ->
   Mat.t ->
@@ -32,21 +27,16 @@ val gemm_nt :
 (** Emulated [C ← α·A·Bᵀ + β·C]. *)
 
 val syrk_lower :
-  fidelity:fidelity ->
-  prec:Geomix_precision.Fpformat.t ->
-  alpha:float ->
-  Mat.t ->
-  beta:float ->
-  Mat.t ->
-  unit
+  prec:Geomix_precision.Fpformat.t -> alpha:float -> Mat.t -> beta:float -> Mat.t -> unit
 
-val trsm_right_lower_trans :
-  fidelity:fidelity -> prec:Geomix_precision.Fpformat.t -> l:Mat.t -> Mat.t -> unit
+val trsm_right_lower_trans : prec:Geomix_precision.Fpformat.t -> l:Mat.t -> Mat.t -> unit
 
-val potrf_lower : fidelity:fidelity -> prec:Geomix_precision.Fpformat.t -> Mat.t -> unit
+val potrf_lower : prec:Geomix_precision.Fpformat.t -> Mat.t -> unit
 (** @raise Blas.Not_positive_definite like the reference kernel. *)
 
 val gemm_accuracy :
   prec:Geomix_precision.Fpformat.t -> n:int -> rng:Geomix_util.Rng.t -> float
-(** The Fig 1 accuracy experiment: random uniform [n]×[n] operands, one
-    [Per_op] emulated GEMM, returns ‖C_prec − C_fp64‖_F / ‖C_fp64‖_F. *)
+(** The Fig 1 accuracy experiment: random uniform [n]×[n] operands A then
+    B drawn from [rng] in {!Mat.init} order, one GEMM that rounds every
+    accumulation to the accumulate scalar, returns
+    ‖C_prec − C_fp64‖_F / ‖C_fp64‖_F. *)

@@ -288,11 +288,7 @@ let drain_status t =
 
 let cov_of (k : Cache.key) =
   let { Cache.family; sigma2; beta; nu; nugget; _ } = k in
-  match family with
-  | Covariance.Sqexp -> Covariance.sqexp ~nugget ~sigma2 ~beta ()
-  | Covariance.Matern -> Covariance.matern ~nugget ~sigma2 ~beta ~nu ()
-  | Covariance.Powexp -> Covariance.powexp ~nugget ~sigma2 ~beta ~power:nu ()
-  | Covariance.Spherical -> Covariance.spherical ~nugget ~sigma2 ~beta ()
+  Covariance.of_family ~nugget family ~sigma2 ~beta ~nu
 
 let sites ~n ~seed =
   Locations.morton_sort
@@ -314,11 +310,18 @@ let build_artifact (key : Cache.key) : Cache.artifact =
   let advice = Type_advisor.advise ~u_req:key.Cache.u_req ~ranges ~pmap () in
   { Cache.locs; pmap; cmap; dag; advice }
 
+(* The tile-count bound: the DAG and its executor allocate per task, and a
+   Cholesky of NT tiles has ~NT³/6 tasks (357 760 at NT = 128), so the order
+   bound alone would admit n = 4096, nb = 1 and ~10¹⁰ task slots. *)
+let max_tiles = 128
+
 let validate_spec t (s : P.spec) =
   let finite_pos x = Float.is_finite x && x > 0. in
   if s.P.n < 1 || s.P.n > t.max_order then
     Error (Printf.sprintf "n must be in [1, %d]" t.max_order)
   else if s.P.nb < 1 || s.P.nb > s.P.n then Error "nb must be in [1, n]"
+  else if (s.P.n + s.P.nb - 1) / s.P.nb > max_tiles then
+    Error (Printf.sprintf "n / nb must give at most %d tiles" max_tiles)
   else if not (finite_pos s.P.u_req) then Error "u_req must be finite and positive"
   else if not (finite_pos s.P.sigma2) then Error "sigma2 must be finite and positive"
   else if not (finite_pos s.P.beta) then Error "beta must be finite and positive"

@@ -94,7 +94,9 @@ val create :
     capacity 32, [max_order] 4096 (largest accepted matrix order),
     [max_replicates] 1024; no fault plan, no retry policy, integrity
     guards off, a 5 s drain deadline, [trace_sample = 0] (per-request
-    tracing off) and {!Breaker.default_config}.
+    tracing off) and {!Breaker.default_config}.  Whatever [max_order], a
+    request of more than 128 tiles ([⌈n/nb⌉ > 128]) is rejected as
+    [Bad_request].
     @raise Invalid_argument when [max_inflight < 1], [queue_capacity < 0],
     [drain_deadline_s] is negative or non-finite, [trace_sample] is
     outside [0, 1], or the breaker config is invalid. *)

@@ -99,9 +99,9 @@ let residual_bound ?(c = 64.) ~pmap tiled =
 
 (* Relative residual ‖A − LLᵀ‖/‖A‖ of the mixed-precision factorization of
    [dense] under [pmap]. *)
-let factor_residual ?options ?pool ~pmap ~nb dense =
+let factor_residual ?pool ~pmap ~nb dense =
   let a = Tiled.of_dense ~nb dense in
-  Mp.factorize ?options ?pool ~pmap a;
+  Mp.factorize ?pool ~pmap a;
   let l = Tiled.to_dense a in
   Mat.zero_upper l;
   Check.cholesky_residual ~a:dense ~l
@@ -109,8 +109,8 @@ let factor_residual ?options ?pool ~pmap ~nb dense =
 (* The differential check itself: factorize under [pmap], factorize in pure
    FP64, return (mixed residual, bound, fp64 residual).  The caller asserts
    residual ≤ bound and fp64_residual ≤ the FP64 floor. *)
-let check_cholesky ?c ?options ~pmap ~nb dense =
-  let residual = factor_residual ?options ~pmap ~nb dense in
+let check_cholesky ?c ~pmap ~nb dense =
+  let residual = factor_residual ~pmap ~nb dense in
   let bound = residual_bound ?c ~pmap (Tiled.of_dense ~nb dense) in
   let nt = Pm.nt pmap in
   let fp64 = factor_residual ~pmap:(Pm.uniform ~nt Fp.Fp64) ~nb dense in

@@ -33,7 +33,6 @@ val residual_bound : ?c:float -> pmap:Geomix_core.Precision_map.t -> Geomix_tile
     (c defaults to 64). *)
 
 val factor_residual :
-  ?options:Geomix_core.Mp_cholesky.options ->
   ?pool:Geomix_parallel.Pool.t ->
   pmap:Geomix_core.Precision_map.t ->
   nb:int ->
@@ -44,7 +43,6 @@ val factor_residual :
 
 val check_cholesky :
   ?c:float ->
-  ?options:Geomix_core.Mp_cholesky.options ->
   pmap:Geomix_core.Precision_map.t ->
   nb:int ->
   Geomix_linalg.Mat.t ->

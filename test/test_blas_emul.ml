@@ -10,25 +10,29 @@ let random_pair rng n =
   let b = Mat.init ~rows:n ~cols:n (fun _ _ -> Rng.float rng) in
   (a, b)
 
-let gemm_err ~fidelity prec n seed =
+(* The Fig 1 model, which rounds every accumulation, and the tile kernel,
+   which rounds at tile boundaries, draw the same operands from the same
+   seed. *)
+let per_op_err prec n seed = Emul.gemm_accuracy ~prec ~n ~rng:(Rng.create ~seed)
+
+let boundary_err prec n seed =
   let rng = Rng.create ~seed in
   let a, b = random_pair rng n in
   let c_ref = Mat.create ~rows:n ~cols:n in
   Blas.gemm_nt ~alpha:1. a b ~beta:0. c_ref;
   let c = Mat.create ~rows:n ~cols:n in
-  Emul.gemm_nt ~fidelity ~prec ~alpha:1. a b ~beta:0. c;
+  Emul.gemm_nt ~prec ~alpha:1. a b ~beta:0. c;
   Mat.rel_diff c ~reference:c_ref
 
 let test_fp64_exact () =
   List.iter
-    (fun fidelity ->
-      Alcotest.(check (float 0.)) "fp64 emulation is exact" 0.
-        (gemm_err ~fidelity Fp.Fp64 32 1))
-    [ Emul.Per_op; Emul.Boundary ]
+    (fun err ->
+      Alcotest.(check (float 0.)) "fp64 emulation is exact" 0. (err Fp.Fp64 32 1))
+    [ per_op_err; boundary_err ]
 
 let test_error_bands_per_op () =
   (* The Fig 1 accuracy ordering: FP32 ≪ TF32 ≈ FP16_32 < BF16_32 < FP16. *)
-  let e prec = gemm_err ~fidelity:Emul.Per_op prec 96 2 in
+  let e prec = per_op_err prec 96 2 in
   let e32 = e Fp.Fp32
   and etf = e Fp.Tf32
   and eh32 = e Fp.Fp16_32
@@ -41,10 +45,10 @@ let test_error_bands_per_op () =
   Alcotest.(check bool) "fp16 worst" true (eh > eb)
 
 let test_boundary_captures_input_quantisation () =
-  (* Boundary fidelity must agree with Per_op within a small factor: the
-     dominant error is operand rounding, which both model. *)
-  let ep = gemm_err ~fidelity:Emul.Per_op Fp.Fp16 64 3 in
-  let eb = gemm_err ~fidelity:Emul.Boundary Fp.Fp16 64 3 in
+  (* The tile kernel must agree with the per-op model within a small
+     factor: the dominant error is operand rounding, which both model. *)
+  let ep = per_op_err Fp.Fp16 64 3 in
+  let eb = boundary_err Fp.Fp16 64 3 in
   Alcotest.(check bool)
     (Printf.sprintf "same order of magnitude (%g vs %g)" ep eb)
     true
@@ -60,7 +64,7 @@ let test_syrk_emul_matches_exact_on_fp64 () =
   let a = Mat.init ~rows:12 ~cols:5 (fun _ _ -> Rng.gaussian rng) in
   let c1 = Mat.create ~rows:12 ~cols:12 and c2 = Mat.create ~rows:12 ~cols:12 in
   Blas.syrk_lower ~alpha:(-1.) a ~beta:1. c1;
-  Emul.syrk_lower ~fidelity:Emul.Per_op ~prec:Fp.Fp64 ~alpha:(-1.) a ~beta:1. c2;
+  Emul.syrk_lower ~prec:Fp.Fp64 ~alpha:(-1.) a ~beta:1. c2;
   Alcotest.(check (float 0.)) "identical" 0. (Mat.diff_frobenius c1 c2)
 
 let test_syrk_emul_fp32_close () =
@@ -68,7 +72,7 @@ let test_syrk_emul_fp32_close () =
   let a = Mat.init ~rows:24 ~cols:8 (fun _ _ -> Rng.float rng) in
   let c_ref = Mat.create ~rows:24 ~cols:24 and c = Mat.create ~rows:24 ~cols:24 in
   Blas.syrk_lower ~alpha:1. a ~beta:0. c_ref;
-  Emul.syrk_lower ~fidelity:Emul.Per_op ~prec:Fp.Fp32 ~alpha:1. a ~beta:0. c;
+  Emul.syrk_lower ~prec:Fp.Fp32 ~alpha:1. a ~beta:0. c;
   let e = Mat.rel_diff c ~reference:c_ref in
   Alcotest.(check bool) (Printf.sprintf "fp32 error %g" e) true (e > 0. && e < 1e-5)
 
@@ -79,38 +83,31 @@ let test_trsm_emul_fp32 () =
   let b_ref = Mat.init ~rows:6 ~cols:8 (fun _ _ -> Rng.gaussian rng) in
   let b = Mat.copy b_ref in
   Blas.trsm_right_lower_trans ~l b_ref;
-  List.iter
-    (fun fidelity ->
-      let b' = Mat.copy b in
-      Emul.trsm_right_lower_trans ~fidelity ~prec:Fp.Fp32 ~l b';
-      let e = Mat.rel_diff b' ~reference:b_ref in
-      Alcotest.(check bool) (Printf.sprintf "fp32 trsm error %g" e) true (e < 1e-4))
-    [ Emul.Per_op; Emul.Boundary ]
+  Emul.trsm_right_lower_trans ~prec:Fp.Fp32 ~l b;
+  let e = Mat.rel_diff b ~reference:b_ref in
+  Alcotest.(check bool) (Printf.sprintf "fp32 trsm error %g" e) true (e < 1e-4)
 
 let test_potrf_emul_fp32 () =
   let rng = Rng.create ~seed:8 in
   let a = Check.spd_random ~rng ~n:24 in
-  List.iter
-    (fun fidelity ->
-      let l = Mat.copy a in
-      Emul.potrf_lower ~fidelity ~prec:Fp.Fp32 l;
-      Mat.zero_upper l;
-      let r = Check.cholesky_residual ~a ~l in
-      Alcotest.(check bool) (Printf.sprintf "fp32 potrf residual %g" r) true
-        (r > 1e-12 && r < 1e-5))
-    [ Emul.Per_op; Emul.Boundary ]
+  let l = Mat.copy a in
+  Emul.potrf_lower ~prec:Fp.Fp32 l;
+  Mat.zero_upper l;
+  let r = Check.cholesky_residual ~a ~l in
+  Alcotest.(check bool) (Printf.sprintf "fp32 potrf residual %g" r) true
+    (r > 1e-12 && r < 1e-5)
 
 let test_potrf_emul_rejects_indefinite () =
   let a = Mat.of_arrays [| [| 1.; 2. |]; [| 2.; 1. |] |] in
   Alcotest.check_raises "still raises" (Blas.Not_positive_definite 1) (fun () ->
-    Emul.potrf_lower ~fidelity:Emul.Per_op ~prec:Fp.Fp32 a)
+    Emul.potrf_lower ~prec:Fp.Fp32 a)
 
 let prop_emul_error_bounded =
   (* n·u error bound (with slack) for the per-op emulated GEMM. *)
   QCheck.Test.make ~name:"per-op gemm error ≤ c·n·u" ~count:30
     QCheck.(pair (int_range 4 48) (oneofl [ Fp.Fp32; Fp.Fp16_32; Fp.Fp16 ]))
     (fun (n, prec) ->
-      let e = gemm_err ~fidelity:Emul.Per_op prec n (n + 17) in
+      let e = per_op_err prec n (n + 17) in
       let u = Fp.scalar_unit_roundoff (Fp.input_scalar prec) in
       e <= 8. *. float_of_int n *. u)
 

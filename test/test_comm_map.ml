@@ -201,6 +201,19 @@ let prop_motion_ordering =
       let m = Cm.motion (Cm.compute pmap) pmap ~nb:64 in
       m.Cm.bytes_stc <= m.Cm.bytes_ttc && m.Cm.bytes_ttc <= m.Cm.bytes_fp64)
 
+let prop_ttc_map_is_ttc_baseline =
+  QCheck.Test.make ~name:"ttc map: STC accounting equals TTC accounting" ~count:30
+    (QCheck.pair (QCheck.float_range 1e-10 1e-2) (QCheck.float_range 0.002 0.1))
+    (fun (u, rate) ->
+      let pmap = Pm.of_element_fn ~u_req:u ~n:512 ~nb:64 (decay rate) in
+      let m = Cm.motion (Cm.ttc pmap) pmap ~nb:64 in
+      let m_alg2 = Cm.motion (Cm.compute pmap) pmap ~nb:64 in
+      Cm.stc_fraction (Cm.ttc pmap) = 0.
+      && m.Cm.bytes_stc = m.Cm.bytes_ttc
+      && m.Cm.conv_stc = m.Cm.conv_ttc
+      && m.Cm.bytes_ttc = m_alg2.Cm.bytes_ttc
+      && m.Cm.conv_ttc = m_alg2.Cm.conv_ttc)
+
 let prop_comm_bounded =
   QCheck.Test.make ~name:"comm scalar always within [fp16, storage]" ~count:30
     (QCheck.pair (QCheck.float_range 1e-10 1e-2) (QCheck.float_range 0.002 0.1))
@@ -242,5 +255,6 @@ let () =
             test_motion_fp8_override;
           Alcotest.test_case "override never widens" `Quick test_override_never_widens;
           QCheck_alcotest.to_alcotest prop_motion_ordering;
+          QCheck_alcotest.to_alcotest prop_ttc_map_is_ttc_baseline;
         ] );
     ]

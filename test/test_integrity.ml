@@ -160,18 +160,17 @@ let test_guarded_factorization_bitwise () =
   let nt = 4 and nb = 8 in
   let pmap = Pm.two_level ~nt ~off_diag:Fp.Fp16_32 in
   List.iter
-    (fun strategy ->
-      let options = { Chol.default_options with Chol.strategy } in
+    (fun cmap ->
       let reference = spd ~nt ~nb in
-      Chol.factorize ~options ~pmap reference;
+      Chol.factorize ?cmap ~pmap reference;
       let a = spd ~nt ~nb in
       let g = Guard.create ~snapshots:true () in
-      Chol.factorize ~options ~integrity:g ~pmap a;
+      Chol.factorize ?cmap ~integrity:g ~pmap a;
       Alcotest.(check (float 0.)) "bitwise identical" 0.
         (Tiled.rel_diff a ~reference);
       Alcotest.(check bool) "guard actually verified" true (Guard.verified g > 0);
       Alcotest.(check int) "nothing detected" 0 (Guard.detected g))
-    [ Chol.Automatic; Chol.Always_ttc ]
+    [ None; Some (Geomix_core.Comm_map.ttc pmap) ]
 
 (* An Algorithm 2 map with every off-diagonal broadcast forced down to
    FP8-E5M2 wherever that narrows the wire — the autotuner's override

@@ -12,9 +12,9 @@ let decay_spd n =
   Mat.init ~rows:n ~cols:n (fun i j ->
     (if i = j then 1.0 else 0.) +. exp (-0.05 *. float_of_int (abs (i - j))))
 
-let factor_residual ?options ~pmap ~nb dense =
+let factor_residual ?cmap ~pmap ~nb dense =
   let a = Tiled.of_dense ~nb dense in
-  Mp.factorize ?options ~pmap a;
+  Mp.factorize ?cmap ~pmap a;
   let l = Tiled.to_dense a in
   Mat.zero_upper l;
   Check.cholesky_residual ~a:dense ~l
@@ -74,35 +74,18 @@ let test_parallel_matches_serial () =
     Alcotest.(check (float 0.)) "bitwise identical" 0. (Tiled.rel_diff par ~reference:serial))
 
 let test_ttc_vs_automatic_accuracy () =
-  (* STC down-casts broadcasts, so Automatic may lose a bounded amount of
-     accuracy relative to Always_ttc — but both must honour u_req's order. *)
+  (* STC down-casts broadcasts, so Algorithm 2's map may lose a bounded
+     amount of accuracy relative to the always-TTC map — but both must
+     honour u_req's order. *)
   let d = decay_spd 160 in
   let a = Tiled.of_dense ~nb:32 d in
   let pmap = Pm.of_tiled ~u_req:1e-6 a in
-  let residual strategy =
-    factor_residual
-      ~options:{ Mp.default_options with strategy }
-      ~pmap ~nb:32 d
-  in
-  let r_ttc = residual Mp.Always_ttc and r_auto = residual Mp.Automatic in
+  let r_ttc = factor_residual ~cmap:(Geomix_core.Comm_map.ttc pmap) ~pmap ~nb:32 d
+  and r_auto = factor_residual ~pmap ~nb:32 d in
   Alcotest.(check bool)
     (Printf.sprintf "both accurate (ttc %g, auto %g)" r_ttc r_auto)
     true
     (r_ttc < 1e-4 && r_auto < 1e-4)
-
-let test_no_comm_rounding_matches_ttc () =
-  let d = decay_spd 96 in
-  let a = Tiled.of_dense ~nb:32 d in
-  let pmap = Pm.of_tiled ~u_req:1e-6 a in
-  let run options =
-    let t = Tiled.copy a in
-    Mp.factorize ~options ~pmap t;
-    t
-  in
-  let x = run { Mp.default_options with model_comm_rounding = false } in
-  let y = run { Mp.default_options with strategy = Mp.Always_ttc } in
-  Alcotest.(check (float 0.)) "identical when no downcast applies" 0.
-    (Tiled.rel_diff x ~reference:y)
 
 let test_solve_and_logdet () =
   let n = 80 in
@@ -142,7 +125,6 @@ let () =
           Alcotest.test_case "not SPD" `Quick test_not_spd_raises;
           Alcotest.test_case "parallel = serial" `Quick test_parallel_matches_serial;
           Alcotest.test_case "TTC vs automatic accuracy" `Quick test_ttc_vs_automatic_accuracy;
-          Alcotest.test_case "no-comm-rounding = TTC" `Quick test_no_comm_rounding_matches_ttc;
           Alcotest.test_case "solve & log det" `Quick test_solve_and_logdet;
           QCheck_alcotest.to_alcotest prop_fp64_equals_dense_reference;
         ] );

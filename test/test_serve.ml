@@ -529,6 +529,9 @@ let test_validation () =
       in
       expect_bad (P.Likelihood { (spec ()) with P.n = 0 });
       expect_bad (P.Likelihood { (spec ()) with P.nb = 100; n = 10 });
+      (* Within the order bound, but 129 tiles: ~360k tasks' worth of
+         per-task arrays must not be allocated for one request. *)
+      expect_bad (P.Likelihood { (spec ()) with P.n = 129; nb = 1 });
       expect_bad (P.Likelihood { (spec ()) with P.u_req = 0.0 });
       expect_bad (P.Likelihood { (spec ()) with P.sigma2 = nan });
       (* A smoothness outside the family's domain is a client error, not

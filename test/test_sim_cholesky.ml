@@ -10,11 +10,9 @@ module Fp = Geomix_precision.Fpformat
 
 let nb = 2048
 
-let run ?(strategy = Sim.Stc_auto) ?(machine = Machine.single_gpu Gpu.V100)
-    ?(collect_trace = false) pmap =
-  Sim.run
-    ~options:{ Sim.default_options with strategy; collect_trace }
-    ~machine ~pmap ~nb ()
+let run ?(ttc = false) ?(machine = Machine.single_gpu Gpu.V100) ?collect_trace pmap =
+  let cmap = if ttc then Some (Geomix_core.Comm_map.ttc pmap) else None in
+  Sim.run ?collect_trace ?cmap ~machine ~pmap ~nb ()
 
 let test_flops_accounting () =
   let r = run (Pm.uniform ~nt:8 Fp.Fp64) in
@@ -53,16 +51,16 @@ let test_precision_ordering () =
 
 let test_stc_beats_ttc () =
   let pmap = Pm.two_level ~nt:20 ~off_diag:Fp.Fp16 in
-  let stc = run ~strategy:Sim.Stc_auto pmap in
-  let ttc = run ~strategy:Sim.Ttc_always pmap in
+  let stc = run pmap in
+  let ttc = run ~ttc:true pmap in
   let speedup = ttc.Sim.makespan /. stc.Sim.makespan in
   Alcotest.(check bool) (Printf.sprintf "speedup %.2f in [1.05, 1.6]" speedup) true
     (speedup > 1.05 && speedup < 1.6)
 
 let test_stc_reduces_conversions () =
   let pmap = Pm.two_level ~nt:16 ~off_diag:Fp.Fp16_32 in
-  let stc = run ~strategy:Sim.Stc_auto pmap in
-  let ttc = run ~strategy:Sim.Ttc_always pmap in
+  let stc = run pmap in
+  let ttc = run ~ttc:true pmap in
   Alcotest.(check bool)
     (Printf.sprintf "conversions %d < %d" stc.Sim.conversions ttc.Sim.conversions)
     true
@@ -80,8 +78,8 @@ let test_stc_reduces_bytes_under_pressure () =
      smaller received copies), so allow a small tolerance on the comparison
      while still requiring STC not to move meaningfully more data. *)
   let pmap = Pm.two_level ~nt:46 ~off_diag:Fp.Fp16 in
-  let stc = run ~strategy:Sim.Stc_auto pmap in
-  let ttc = run ~strategy:Sim.Ttc_always pmap in
+  let stc = run pmap in
+  let ttc = run ~ttc:true pmap in
   Alcotest.(check bool)
     (Printf.sprintf "bytes %.1f ≤ 1.05·%.1f GB" (stc.Sim.bytes_h2d /. 1e9)
        (ttc.Sim.bytes_h2d /. 1e9))
