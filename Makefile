@@ -1,6 +1,6 @@
 # Convenience wrappers around dune; see TESTING.md for the test layers.
 
-.PHONY: all test check chaos report autotune serve serve-smoke serve-chaos top trace-smoke ooc ooc-crash verify-slow ab ledger clean
+.PHONY: all test check examples chaos report autotune serve serve-smoke serve-chaos top trace-smoke ooc ooc-crash verify-slow ab ledger clean
 
 all:
 	dune build @all
@@ -18,6 +18,14 @@ check: test
 	dune exec test/explorer_pass.exe
 	dune exec bin/geomix.exe -- report --smoke > /dev/null
 	dune exec bench/main.exe -- --smoke --compare bench/BENCH_baseline.json
+
+# Run the example programs; each must exit 0.  climate_matern is the one
+# program that drives Likelihood.Exact, Prediction and Field end to end.
+# cluster_planner (~35 s) is left out.
+examples:
+	for ex in quickstart soil3d tlr_compression climate_matern; do \
+	  dune exec examples/$$ex.exe || exit 1; \
+	done
 
 # Seeded chaos runs: fault-injected factorizations that must recover to a
 # bitwise-identical result (same seed matrix as the CI chaos-smoke job).

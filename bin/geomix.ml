@@ -1580,7 +1580,7 @@ let serve_cmd =
          "Run the model service: a Unix-domain-socket server evaluating \
           likelihood, kriging prediction and Monte-Carlo likelihood batches \
           over a shared domain pool, with a shape-keyed cache of precision \
-          maps, communication maps, DAG schedules and autotune advice; \
+          maps, communication maps and DAG schedules; \
           requests execute under supervised retry, integrity guards and \
           precision-escalation recovery, with graceful SIGTERM drain and \
           overload brown-out")

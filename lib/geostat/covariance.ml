@@ -167,21 +167,6 @@ let element t locs =
   let k = kernel t in
   fun i j -> kernel_element k locs i j
 
-let build_dense t locs =
-  let k = kernel t in
-  let n = Locations.count locs in
-  let m = Mat.create ~rows:n ~cols:n in
-  let buf = Mat.data m in
-  for j = 0 to n - 1 do
-    Bigarray.Array1.unsafe_set buf (j + (j * n)) (kernel_element k locs j j);
-    for i = j + 1 to n - 1 do
-      let v = kernel_element k locs i j in
-      Bigarray.Array1.unsafe_set buf (i + (j * n)) v;
-      Bigarray.Array1.unsafe_set buf (j + (i * n)) v
-    done
-  done;
-  m
-
 (* Each stored tile is written through its column-major buffer (DESIGN.md
    §12's [-opaque] rule).  A diagonal tile evaluates its lower triangle
    and mirrors it: [Locations.distance] is exactly symmetric, so the upper
@@ -211,6 +196,10 @@ let build_tiled t locs ~nb =
     done
   done;
   a
+
+(* A test reference: the whole matrix as one diagonal tile. *)
+let build_dense t locs =
+  Tiled.to_dense (build_tiled t locs ~nb:(Stdlib.max 1 (Locations.count locs)))
 
 let theta t =
   match t.family with

@@ -84,15 +84,15 @@ val element : t -> Locations.t -> int -> int -> float
     the entry function, which is what [Precision_map.of_element_fn] and the
     other element-function callers should be passed. *)
 
-val build_dense : t -> Locations.t -> Geomix_linalg.Mat.t
-(** The full symmetric matrix: the lower triangle evaluated, the upper
-    mirrored. *)
-
 val build_tiled : t -> Locations.t -> nb:int -> Geomix_tile.Tiled.t
 (** The lower tiles, each filled through its buffer.  A diagonal tile
     evaluates its lower triangle and mirrors it; {!Locations.distance} is
-    exactly symmetric, so the tiles equal {!build_dense}'s entries bit for
-    bit, upper halves of diagonal tiles included. *)
+    exactly symmetric, so the tiles hold the same entries bit for bit at
+    every [nb], upper halves of diagonal tiles included. *)
+
+val build_dense : t -> Locations.t -> Geomix_linalg.Mat.t
+(** The full symmetric matrix, built as one [n × n] tile — the dense
+    reference tests and figure benches compare against. *)
 
 val theta : t -> float array
 (** Parameter vector: [[σ²; β]] for [Sqexp], [[σ²; β; ν]] for [Matern]. *)

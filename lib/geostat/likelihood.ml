@@ -1,4 +1,3 @@
-module Mat = Geomix_linalg.Mat
 module Blas = Geomix_linalg.Blas
 module Tiled = Geomix_tile.Tiled
 module Mp_cholesky = Geomix_core.Mp_cholesky
@@ -41,69 +40,62 @@ let indefinite_evaluation ~precision_fractions =
     status = Indefinite;
   }
 
+let sum_squares = Array.fold_left (fun acc v -> acc +. (v *. v)) 0.
+
+let tile_size = function Exact -> Field.nb | Mixed { nb; _ } | Tlr { nb; _ } -> nb
+
+(* The map an engine runs under: [Exact] is [Mixed] under the all-FP64 map
+   at [Field]'s tile size; a [Tlr] engine without [u_req] has none. *)
+let precision_map engine a =
+  match engine with
+  | Exact -> Some (Precision_map.uniform ~nt:(Tiled.nt a) Fpformat.Fp64)
+  | Mixed { u_req; _ } | Tlr { u_req = Some u_req; _ } ->
+    Some (Precision_map.of_tiled ~u_req a)
+  | Tlr { u_req = None; _ } -> None
+
+let fractions = Option.fold ~none:[ (Fpformat.Fp64, 1.) ] ~some:Precision_map.fractions
+
 let evaluate engine ~cov ~locs ~z =
   let n = Locations.count locs in
   assert (Array.length z = n);
+  let a = Covariance.build_tiled cov locs ~nb:(tile_size engine) in
+  let pmap = precision_map engine a in
   match engine with
-  | Exact ->
-    let l = Covariance.build_dense cov locs in
-    Blas.potrf_lower l;
-    let y = Blas.trsv_lower ~l z in
-    let quad_form = Array.fold_left (fun acc v -> acc +. (v *. v)) 0. y in
-    assemble ~n ~log_det:(Blas.log_det_from_chol l) ~quad_form
-      ~precision_fractions:[ (Fpformat.Fp64, 1.) ]
-      ()
-  | Mixed { u_req; nb } ->
-    let a = Covariance.build_tiled cov locs ~nb in
-    let pmap = Precision_map.of_tiled ~u_req a in
-    Mp_cholesky.factorize ~pmap a;
-    let y = Mp_cholesky.solve_lower a z in
-    let quad_form = Array.fold_left (fun acc v -> acc +. (v *. v)) 0. y in
-    assemble ~n ~log_det:(Mp_cholesky.log_det a) ~quad_form
-      ~precision_fractions:(Precision_map.fractions pmap)
-      ()
-  | Tlr { tol; nb; u_req } ->
-    let a = Covariance.build_tiled cov locs ~nb in
-    let precision, fractions =
-      match u_req with
-      | Some u ->
-        let pmap = Precision_map.of_tiled ~u_req:u a in
-        (Some pmap, Precision_map.fractions pmap)
-      | None -> (None, [ (Fpformat.Fp64, 1.) ])
-    in
-    let t = Geomix_tlr.Tlr.compress ?precision ~tol a in
+  | Exact | Mixed _ ->
+    Mp_cholesky.factorize ~pmap:(Option.get pmap) a;
+    assemble ~n ~log_det:(Mp_cholesky.log_det a)
+      ~quad_form:(sum_squares (Mp_cholesky.solve_lower a z))
+      ~precision_fractions:(fractions pmap) ()
+  | Tlr { tol; _ } ->
+    let t = Geomix_tlr.Tlr.compress ?precision:pmap ~tol a in
     Geomix_tlr.Tlr.cholesky t;
-    let y = Geomix_tlr.Tlr.solve_lower t z in
-    let quad_form = Array.fold_left (fun acc v -> acc +. (v *. v)) 0. y in
-    assemble ~n ~log_det:(Geomix_tlr.Tlr.log_det t) ~quad_form
-      ~precision_fractions:fractions ()
+    assemble ~n ~log_det:(Geomix_tlr.Tlr.log_det t)
+      ~quad_form:(sum_squares (Geomix_tlr.Tlr.solve_lower t z))
+      ~precision_fractions:(fractions pmap) ()
 
 let evaluate_robust ?faults ?retry ?obs engine ~cov ~locs ~z =
-  let n = Locations.count locs in
-  assert (Array.length z = n);
   match engine with
-  | Mixed { u_req; nb } ->
-    let a = Covariance.build_tiled cov locs ~nb in
-    let pmap = Precision_map.of_tiled ~u_req a in
+  | Exact | Mixed _ -> (
+    let n = Locations.count locs in
+    assert (Array.length z = n);
+    let a = Covariance.build_tiled cov locs ~nb:(tile_size engine) in
+    let pmap = Option.get (precision_map engine a) in
     let report = Mp_cholesky.factorize_robust ?faults ?retry ?obs ~pmap a in
-    (match report.Mp_cholesky.outcome with
-    | Mp_cholesky.Indefinite _ ->
-      indefinite_evaluation
-        ~precision_fractions:(Precision_map.fractions report.Mp_cholesky.pmap)
+    let precision_fractions = Precision_map.fractions report.Mp_cholesky.pmap in
+    match report.Mp_cholesky.outcome with
+    | Mp_cholesky.Indefinite _ -> indefinite_evaluation ~precision_fractions
     | Mp_cholesky.Factorized ->
       let status =
         match report.Mp_cholesky.escalations with
         | [] -> Clean
         | es -> Escalated es
       in
-      let y = Mp_cholesky.solve_lower a z in
-      let quad_form = Array.fold_left (fun acc v -> acc +. (v *. v)) 0. y in
-      assemble ~status ~n ~log_det:(Mp_cholesky.log_det a) ~quad_form
-        ~precision_fractions:(Precision_map.fractions report.Mp_cholesky.pmap)
-        ())
-  | Exact | Tlr _ -> (
-    (* No precision to escalate: indefiniteness at FP64 (or under the TLR
-       compression) is reported, not raised, matching the Mixed path. *)
+      assemble ~status ~n ~log_det:(Mp_cholesky.log_det a)
+        ~quad_form:(sum_squares (Mp_cholesky.solve_lower a z))
+        ~precision_fractions ())
+  | Tlr _ -> (
+    (* No precision to escalate: indefiniteness under the TLR compression
+       is reported, not raised, matching the Cholesky path. *)
     match evaluate engine ~cov ~locs ~z with
     | e -> e
     | exception Blas.Not_positive_definite _ ->

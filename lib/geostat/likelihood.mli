@@ -2,13 +2,17 @@
 
     {v ℓ(θ) = −(n/2)·log 2π − ½·log|Σ(θ)| − ½·Zᵀ·Σ(θ)⁻¹·Z v}
 
-    evaluated through a Cholesky factorization of Σ(θ) — exact FP64, or the
-    adaptive mixed-precision tile factorization under a given accuracy
+    evaluated through the tile Cholesky of Σ(θ) — under the all-FP64
+    precision map (exact), or under the adaptive map for a given accuracy
     [u_req] (which is precisely what the paper accelerates). *)
 
 type engine =
   | Exact
-      (** dense FP64 — the "exact" reference of Figs 5–6 *)
+      (** FP64 — the "exact" reference of Figs 5–6: [Mixed] under the
+          all-FP64 map at {!Field.nb}.  Its factor and [log_det] are
+          bitwise a dense FP64 Cholesky's; its [quad_form] is too up to 64
+          sites, and beyond that within a few units of roundoff (the
+          forward solve sums one tile at a time). *)
   | Mixed of {
       u_req : float;                     (** accuracy of the norm rule *)
       nb : int;                          (** tile size *)
@@ -78,8 +82,10 @@ val evaluate_robust :
     [Indefinite] — reported in the [evaluation], never raised.  [?faults]
     and [?retry] additionally arm fault injection and supervised task retry
     inside the factorization (chaos testing); [?obs] collects the recovery
-    counters.  For [Exact] and [Tlr] engines there is no precision to
-    escalate: indefiniteness is mapped to [Indefinite] directly. *)
+    counters.  An [Exact] map is all FP64, so it never escalates: an
+    indefinite Σ(θ) is [Indefinite] at once.  A [Tlr] engine has no
+    precision to escalate either: its indefiniteness is mapped to
+    [Indefinite] directly. *)
 
 val loglik : engine -> cov:Covariance.t -> locs:Locations.t -> z:float array -> float
 (** [(evaluate_robust ...).loglik]: indefiniteness yields [neg_infinity] so

@@ -1,5 +1,4 @@
-module Mat = Geomix_linalg.Mat
-module Blas = Geomix_linalg.Blas
+module Mp_cholesky = Geomix_core.Mp_cholesky
 
 type t = { mean : float array; variance : float array }
 
@@ -16,10 +15,9 @@ let predict ~cov ~obs_locs ~z ~new_locs =
   assert (Locations.dim obs_locs = Locations.dim new_locs);
   let n = Locations.count obs_locs and m = Locations.count new_locs in
   assert (Array.length z = n);
-  let l = Covariance.build_dense cov obs_locs in
-  Blas.potrf_lower l;
+  let l = Field.factor cov obs_locs in
   (* α = Σ⁻¹z through the factor. *)
-  let alpha = Blas.trsv_lower_trans ~l (Blas.trsv_lower ~l z) in
+  let alpha = Mp_cholesky.solve_lower_trans l (Mp_cholesky.solve_lower l z) in
   let mean = Array.make m 0. and variance = Array.make m 0. in
   let c = Covariance.eval cov in
   (* C(0) is exactly σ² in every family: [element]'s diagonal. *)
@@ -30,7 +28,7 @@ let predict ~cov ~obs_locs ~z ~new_locs =
     Array.iteri (fun i ki -> mu := !mu +. (ki *. alpha.(i))) k;
     mean.(j) <- !mu;
     (* σ*² = C(0) − k*ᵀΣ⁻¹k* via one forward solve. *)
-    let w = Blas.trsv_lower ~l k in
+    let w = Mp_cholesky.solve_lower l k in
     let s = Array.fold_left (fun acc v -> acc +. (v *. v)) 0. w in
     variance.(j) <- Float.max 0. (c0 -. s)
   done;

@@ -18,7 +18,11 @@ val predict :
   new_locs:Locations.t ->
   t
 (** Exact FP64 kriging from observed measurements to the new sites (both
-    location sets must share the dimension). *)
+    location sets must share the dimension), through {!Field.factor} and
+    the tile triangular solves.  Up to one 64-wide tile the results are
+    bitwise a dense Cholesky's; beyond it the solves sum one tile at a
+    time, which moves them by a few units of roundoff.
+    @raise Geomix_linalg.Blas.Not_positive_definite as {!Field.factor}. *)
 
 val mse : predicted:float array -> truth:float array -> float
 (** Mean squared prediction error against held-out truth. *)

@@ -30,25 +30,6 @@ let gemm_nt ~alpha a b ~beta c =
     done
   done
 
-let gemm ?(transa = false) ?(transb = false) ~alpha a b ~beta c =
-  let opa i p = if transa then Mat.unsafe_get a p i else Mat.unsafe_get a i p in
-  let opb p j = if transb then Mat.unsafe_get b j p else Mat.unsafe_get b p j in
-  let m = if transa then Mat.cols a else Mat.rows a in
-  let k = if transa then Mat.rows a else Mat.cols a in
-  let n = if transb then Mat.rows b else Mat.cols b in
-  assert ((if transb then Mat.cols b else Mat.rows b) = k);
-  assert (Mat.rows c = m && Mat.cols c = n);
-  if beta <> 1. then Mat.scale c beta;
-  for j = 0 to n - 1 do
-    for p = 0 to k - 1 do
-      let bpj = alpha *. opb p j in
-      if bpj <> 0. then
-        for i = 0 to m - 1 do
-          Mat.unsafe_set c i j (Mat.unsafe_get c i j +. (opa i p *. bpj))
-        done
-    done
-  done
-
 let syrk_lower ~alpha a ~beta c =
   let n = Mat.rows a and k = Mat.cols a in
   assert (Mat.rows c = n && Mat.cols c = n);

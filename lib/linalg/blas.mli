@@ -1,6 +1,7 @@
 (** Reference FP64 dense kernels — the four numerical kernels of the tile
     Cholesky of Algorithm 1 (POTRF, TRSM, SYRK, GEMM) plus the triangular
-    and general building blocks the application driver needs.
+    solves of its tile solves and of the TLR extension, and the dense
+    references tests compare against ({!cholesky}, {!log_det_from_chol}).
 
     All kernels are written loop-order-aware for the column-major layout of
     {!Mat} and operate in place where BLAS would. *)
@@ -8,20 +9,10 @@
 exception Not_positive_definite of int
 (** Raised by {!potrf_lower} with the index of the failing pivot. *)
 
-val gemm :
-  ?transa:bool ->
-  ?transb:bool ->
-  alpha:float ->
-  Mat.t ->
-  Mat.t ->
-  beta:float ->
-  Mat.t ->
-  unit
-(** [gemm ~alpha a b ~beta c] performs [C ← α·op(A)·op(B) + β·C]. *)
-
 val gemm_nt : alpha:float -> Mat.t -> Mat.t -> beta:float -> Mat.t -> unit
-(** Specialised [C ← α·A·Bᵀ + β·C] — the Cholesky update kernel (GEMM in
-    Algorithm 1 runs with α = −1, β = 1). *)
+(** [C ← α·A·Bᵀ + β·C] — the Cholesky update kernel (GEMM in Algorithm 1
+    runs with α = −1, β = 1), and the one general product: [C ← α·A·B]
+    is [gemm_nt] of [A] and [Mat.transpose B]. *)
 
 val syrk_lower : alpha:float -> Mat.t -> beta:float -> Mat.t -> unit
 (** [syrk_lower ~alpha a ~beta c]: [C ← α·A·Aᵀ + β·C], touching only the

@@ -35,7 +35,6 @@ type artifact = {
   pmap : Geomix_core.Precision_map.t;
   cmap : Geomix_core.Comm_map.t;
   dag : Geomix_runtime.Cholesky_dag.t;
-  advice : Geomix_autotune.Type_advisor.t;
 }
 
 (* A [Building] entry is the single-flight marker: the first requester of a

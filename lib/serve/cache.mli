@@ -1,11 +1,10 @@
 (** Shape-keyed memo cache of the expensive per-problem artifacts.
 
     The costly pre-work of a request — sites, the Higham–Mary precision
-    map, Algorithm 2's communication map, the static Cholesky DAG and the
-    range-driven autotune advice — is a pure function of the problem
-    {e shape} (everything in {!Protocol.spec} except [data_seed]), so the
-    server memoizes it: requests that differ only in their measurement
-    seed share one build.
+    map, Algorithm 2's communication map and the static Cholesky DAG — is
+    a pure function of the problem {e shape} (everything in
+    {!Protocol.spec} except [data_seed]), so the server memoizes it:
+    requests that differ only in their measurement seed share one build.
 
     {b Single-flight.}  Concurrent misses on one key build {e once}: the
     first requester installs a building marker and constructs outside the
@@ -52,8 +51,6 @@ type artifact = {
   pmap : Geomix_core.Precision_map.t;   (** norm-rule kernel precisions *)
   cmap : Geomix_core.Comm_map.t;        (** Algorithm 2's transfer map *)
   dag : Geomix_runtime.Cholesky_dag.t;  (** static task graph, [nt × nt] *)
-  advice : Geomix_autotune.Type_advisor.t;
-      (** range-driven transfer advice from the input-mass pilot *)
 }
 
 type stats = { hits : int; misses : int; evictions : int }

@@ -12,8 +12,6 @@ module Mp_cholesky = Geomix_core.Mp_cholesky
 module Precision_map = Geomix_core.Precision_map
 module Comm_map = Geomix_core.Comm_map
 module Cholesky_dag = Geomix_runtime.Cholesky_dag
-module Range_tracker = Geomix_autotune.Range_tracker
-module Type_advisor = Geomix_autotune.Type_advisor
 module Tiled = Geomix_tile.Tiled
 module Guard = Geomix_integrity.Guard
 module Span = Geomix_obs.Span
@@ -294,10 +292,8 @@ let sites ~n ~seed =
   Locations.morton_sort
     (Locations.jittered_grid_2d ~rng:(Rng.create ~seed) ~n)
 
-(* The memoized pre-work: a pure function of the shape key.  The advice
-   pilot observes the input matrix only ([observe_tiled] records per-tile
-   ranges and Frobenius mass), so a miss costs one covariance assembly and
-   three O(NT²)–O(NT³) map constructions — no pilot factorization. *)
+(* The memoized pre-work: a pure function of the shape key.  A miss costs
+   one covariance assembly and three O(NT²)–O(NT³) constructions. *)
 let build_artifact (key : Cache.key) : Cache.artifact =
   let cov = cov_of key in
   let locs = sites ~n:key.Cache.n ~seed:key.Cache.locs_seed in
@@ -305,10 +301,7 @@ let build_artifact (key : Cache.key) : Cache.artifact =
   let pmap = Precision_map.of_tiled ~u_req:key.Cache.u_req a in
   let cmap = Comm_map.compute pmap in
   let dag = Cholesky_dag.create ~nt:(Tiled.nt a) in
-  let ranges = Range_tracker.create ~nt:(Tiled.nt a) in
-  Range_tracker.observe_tiled ranges a;
-  let advice = Type_advisor.advise ~u_req:key.Cache.u_req ~ranges ~pmap () in
-  { Cache.locs; pmap; cmap; dag; advice }
+  { Cache.locs; pmap; cmap; dag }
 
 (* The tile-count bound: the DAG and its executor allocate per task, and a
    Cholesky of NT tiles has ~NT³/6 tasks (357 760 at NT = 128), so the order

@@ -6,8 +6,8 @@
     optimizer (or many) evaluates the Gaussian log-likelihood for a stream
     of parameter points over a fixed problem shape, so the expensive
     shape-level pre-work — precision map, Algorithm 2 communication map,
-    static DAG, autotune advice — is memoized in a {!Cache} and every
-    evaluation reuses it.
+    static DAG — is memoized in a {!Cache} and every evaluation reuses
+    it.
 
     {b Concurrency.}  Each admitted request factorizes under its own
     {!Geomix_parallel.Pool.job}, so concurrent requests share the pool's
@@ -136,9 +136,7 @@ val handle_traced :
 
 val build_artifact : Cache.key -> Cache.artifact
 (** The memoized pre-work, exposed for tests: a pure function of the
-    shape key (sites, precision map, communication map, static DAG,
-    advice).  The advice pilot observes the input matrix only — no pilot
-    factorization. *)
+    shape key (sites, precision map, communication map, static DAG). *)
 
 (** {1 Admission control}
 

@@ -100,9 +100,9 @@ let recompress ~tol t =
     done;
     let vcr = Mat.sub_view_copy vc ~row:0 ~col:0 ~rows:k ~cols:r in
     let u' = Mat.create ~rows:(rows t) ~cols:r in
-    Blas.gemm ~alpha:1. qu ucr ~beta:0. u';
+    Blas.gemm_nt ~alpha:1. qu (Mat.transpose ucr) ~beta:0. u';
     let v' = Mat.create ~rows:(cols t) ~cols:r in
-    Blas.gemm ~alpha:1. qv vcr ~beta:0. v';
+    Blas.gemm_nt ~alpha:1. qv (Mat.transpose vcr) ~beta:0. v';
     { u = u'; v = v' }
   end
 

@@ -137,19 +137,20 @@ let gemm_into_dense c a b =
   | Low_rank la, Dense db ->
     (* U (V' B') = U (B V)' *)
     let w = Mat.create ~rows:(Mat.rows db) ~cols:(Lowrank.rank la) in
-    Blas.gemm ~alpha:1. db la.Lowrank.v ~beta:0. w;
+    Blas.gemm_nt ~alpha:1. db (Mat.transpose la.Lowrank.v) ~beta:0. w;
     Blas.gemm_nt ~alpha:(-1.) la.Lowrank.u w ~beta:1. c
   | Dense da, Low_rank lb ->
     (* A V_b U_b' *)
     let w = Mat.create ~rows:(Mat.rows da) ~cols:(Lowrank.rank lb) in
-    Blas.gemm ~alpha:1. da lb.Lowrank.v ~beta:0. w;
+    Blas.gemm_nt ~alpha:1. da (Mat.transpose lb.Lowrank.v) ~beta:0. w;
     Blas.gemm_nt ~alpha:(-1.) w lb.Lowrank.u ~beta:1. c
   | Low_rank la, Low_rank lb ->
     (* U_a (V_a' V_b) U_b' *)
     let core = Mat.create ~rows:(Lowrank.rank la) ~cols:(Lowrank.rank lb) in
-    Blas.gemm ~transa:true ~alpha:1. la.Lowrank.v lb.Lowrank.v ~beta:0. core;
+    Blas.gemm_nt ~alpha:1. (Mat.transpose la.Lowrank.v) (Mat.transpose lb.Lowrank.v)
+      ~beta:0. core;
     let tmat = Mat.create ~rows:(Lowrank.rows la) ~cols:(Lowrank.rank lb) in
-    Blas.gemm ~alpha:1. la.Lowrank.u core ~beta:0. tmat;
+    Blas.gemm_nt ~alpha:1. la.Lowrank.u (Mat.transpose core) ~beta:0. tmat;
     Blas.gemm_nt ~alpha:(-1.) tmat lb.Lowrank.u ~beta:1. c
 
 (* The product A·Bᵀ as a low-rank pair, when at least one operand is. *)
@@ -160,25 +161,27 @@ let product_lowrank a b =
     if ka <= kb then begin
       (* (U_a) · (U_b (V_b' V_a))' : rank ka *)
       let core = Mat.create ~rows:kb ~cols:ka in
-      Blas.gemm ~transa:true ~alpha:1. lb.Lowrank.v la.Lowrank.v ~beta:0. core;
+      Blas.gemm_nt ~alpha:1. (Mat.transpose lb.Lowrank.v) (Mat.transpose la.Lowrank.v)
+        ~beta:0. core;
       let v = Mat.create ~rows:(Lowrank.rows lb) ~cols:ka in
-      Blas.gemm ~alpha:1. lb.Lowrank.u core ~beta:0. v;
+      Blas.gemm_nt ~alpha:1. lb.Lowrank.u (Mat.transpose core) ~beta:0. v;
       Some { Lowrank.u = Mat.copy la.Lowrank.u; v }
     end
     else begin
       let core = Mat.create ~rows:ka ~cols:kb in
-      Blas.gemm ~transa:true ~alpha:1. la.Lowrank.v lb.Lowrank.v ~beta:0. core;
+      Blas.gemm_nt ~alpha:1. (Mat.transpose la.Lowrank.v) (Mat.transpose lb.Lowrank.v)
+        ~beta:0. core;
       let u = Mat.create ~rows:(Lowrank.rows la) ~cols:kb in
-      Blas.gemm ~alpha:1. la.Lowrank.u core ~beta:0. u;
+      Blas.gemm_nt ~alpha:1. la.Lowrank.u (Mat.transpose core) ~beta:0. u;
       Some { Lowrank.u; v = Mat.copy lb.Lowrank.u }
     end
   | Low_rank la, Dense db ->
     let w = Mat.create ~rows:(Mat.rows db) ~cols:(Lowrank.rank la) in
-    Blas.gemm ~alpha:1. db la.Lowrank.v ~beta:0. w;
+    Blas.gemm_nt ~alpha:1. db (Mat.transpose la.Lowrank.v) ~beta:0. w;
     Some { Lowrank.u = Mat.copy la.Lowrank.u; v = w }
   | Dense da, Low_rank lb ->
     let w = Mat.create ~rows:(Mat.rows da) ~cols:(Lowrank.rank lb) in
-    Blas.gemm ~alpha:1. da lb.Lowrank.v ~beta:0. w;
+    Blas.gemm_nt ~alpha:1. da (Mat.transpose lb.Lowrank.v) ~beta:0. w;
     Some { Lowrank.u = w; v = Mat.copy lb.Lowrank.u }
   | Dense _, Dense _ -> None
 

@@ -20,30 +20,6 @@ let test_gemm_alpha_beta () =
   Alcotest.(check (float 1e-12)) "diag" 5. (Mat.get c 0 0);
   Alcotest.(check (float 1e-12)) "off" 3. (Mat.get c 0 1)
 
-let test_gemm_trans_variants () =
-  let rng = Rng.create ~seed:5 in
-  let a = Mat.init ~rows:4 ~cols:3 (fun _ _ -> Rng.gaussian rng) in
-  let b = Mat.init ~rows:3 ~cols:5 (fun _ _ -> Rng.gaussian rng) in
-  (* A·B via gemm, vs (via transposes) opᵀ paths. *)
-  let c1 = Mat.create ~rows:4 ~cols:5 in
-  Blas.gemm ~alpha:1. a b ~beta:0. c1;
-  let c2 = Mat.create ~rows:4 ~cols:5 in
-  Blas.gemm ~transa:true ~alpha:1. (Mat.transpose a) b ~beta:0. c2;
-  Alcotest.(check (float 1e-12)) "transa path" 0. (Mat.rel_diff c2 ~reference:c1);
-  let c3 = Mat.create ~rows:4 ~cols:5 in
-  Blas.gemm ~transb:true ~alpha:1. a (Mat.transpose b) ~beta:0. c3;
-  Alcotest.(check (float 1e-12)) "transb path" 0. (Mat.rel_diff c3 ~reference:c1)
-
-let test_gemm_nt_consistent_with_gemm () =
-  let rng = Rng.create ~seed:9 in
-  let a = Mat.init ~rows:6 ~cols:4 (fun _ _ -> Rng.gaussian rng) in
-  let b = Mat.init ~rows:5 ~cols:4 (fun _ _ -> Rng.gaussian rng) in
-  let c1 = Mat.create ~rows:6 ~cols:5 in
-  Blas.gemm_nt ~alpha:1. a b ~beta:0. c1;
-  let c2 = Mat.create ~rows:6 ~cols:5 in
-  Blas.gemm ~transb:true ~alpha:1. a b ~beta:0. c2;
-  Alcotest.(check (float 1e-12)) "agree" 0. (Mat.rel_diff c1 ~reference:c2)
-
 let test_syrk_lower () =
   let rng = Rng.create ~seed:11 in
   let a = Mat.init ~rows:5 ~cols:3 (fun _ _ -> Rng.gaussian rng) in
@@ -98,7 +74,7 @@ let test_trsm () =
   let x_true = Mat.init ~rows:4 ~cols:6 (fun _ _ -> Rng.gaussian rng) in
   (* B = X·Lᵀ, then solve back. *)
   let b = Mat.create ~rows:4 ~cols:6 in
-  Blas.gemm ~transb:true ~alpha:1. x_true l ~beta:0. b;
+  Blas.gemm_nt ~alpha:1. x_true l ~beta:0. b;
   Blas.trsm_right_lower_trans ~l b;
   Alcotest.(check bool) "recovered X" true (Mat.rel_diff b ~reference:x_true < 1e-12)
 
@@ -109,7 +85,7 @@ let test_trsm_left_lower () =
   let x_true = Mat.init ~rows:7 ~cols:4 (fun _ _ -> Rng.gaussian rng) in
   (* B = L·X, solve back in place. *)
   let b = Mat.create ~rows:7 ~cols:4 in
-  Blas.gemm ~alpha:1. l x_true ~beta:0. b;
+  Blas.gemm_nt ~alpha:1. l (Mat.transpose x_true) ~beta:0. b;
   Blas.trsm_left_lower_notrans ~l b;
   Alcotest.(check bool) "recovered X" true (Mat.rel_diff b ~reference:x_true < 1e-12)
 
@@ -335,8 +311,6 @@ let () =
         [
           Alcotest.test_case "gemm_nt small" `Quick test_gemm_nt_small;
           Alcotest.test_case "alpha/beta" `Quick test_gemm_alpha_beta;
-          Alcotest.test_case "gemm trans variants" `Quick test_gemm_trans_variants;
-          Alcotest.test_case "gemm_nt = gemm transb" `Quick test_gemm_nt_consistent_with_gemm;
           Alcotest.test_case "syrk lower" `Quick test_syrk_lower;
           Alcotest.test_case "potrf identity" `Quick test_potrf_identity;
           Alcotest.test_case "potrf known 2x2" `Quick test_potrf_known;

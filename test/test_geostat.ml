@@ -467,6 +467,134 @@ let test_prediction_variance_grows_far_away () =
   let p = Prediction.predict ~cov ~obs_locs:locs ~z ~new_locs:far in
   Alcotest.(check bool) "variance below prior" true (p.Prediction.variance.(0) <= 1. +. 1e-6)
 
+(* The FP64 factor pin: [Field], [Likelihood.Exact] and [Prediction]
+   against an inline dense reference ([build_dense], [Blas.potrf_lower], a
+   column-order draw and [log_det_from_chol]).  Fields, replicas and
+   log-determinants match bitwise at every n.  The quadratic form and the
+   kriging mean and variance match bitwise up to one 64-wide tile; beyond
+   it the solves may sum one tile at a time, so they are held within
+   [pin_ulps] units of roundoff of their scale: the value itself for the
+   quadratic form, Σ|k_i·α_i| for a mean, C(0) for a variance. *)
+
+let pin_ulps = 16.
+
+let pin_sites n =
+  Locations.morton_sort (Locations.jittered_grid_2d ~rng:(Rng.create ~seed:7) ~n)
+
+let dense_factor cov locs =
+  let l = Covariance.build_dense cov locs in
+  Blas.potrf_lower l;
+  l
+
+let dense_draw rng l =
+  let n = Mat.rows l in
+  let e = Rng.gaussian_vector rng n in
+  let z = Array.make n 0. in
+  for j = 0 to n - 1 do
+    for i = j to n - 1 do
+      z.(i) <- z.(i) +. (Mat.get l i j *. e.(j))
+    done
+  done;
+  z
+
+let cross_distance a i b j =
+  let ca = Locations.coord a i and cb = Locations.coord b j in
+  let acc = ref 0. in
+  for d = 0 to Array.length ca - 1 do
+    let x = ca.(d) -. cb.(d) in
+    acc := !acc +. (x *. x)
+  done;
+  sqrt !acc
+
+let sum_squares = Array.fold_left (fun acc v -> acc +. (v *. v)) 0.
+
+(* Per new site: (mean, its scale Σ|k_i·α_i|, variance). *)
+let dense_kriging cov l ~obs_locs ~z ~new_locs =
+  let c = Covariance.eval cov in
+  let c0 = c 0. +. cov.Covariance.nugget in
+  let alpha = Blas.trsv_lower_trans ~l (Blas.trsv_lower ~l z) in
+  Array.init (Locations.count new_locs) (fun j ->
+    let k = Array.init (Locations.count obs_locs) (fun i -> c (cross_distance obs_locs i new_locs j)) in
+    let mu = ref 0. and scale = ref 0. in
+    Array.iteri
+      (fun i ki ->
+        mu := !mu +. (ki *. alpha.(i));
+        scale := !scale +. Float.abs (ki *. alpha.(i)))
+      k;
+    (!mu, !scale, Float.max 0. (c0 -. sum_squares (Blas.trsv_lower ~l k))))
+
+let check_bits what want got =
+  if not (same_bits want got) then
+    Alcotest.failf "%s: %h, dense reference %h" what got want
+
+let check_pinned ~exact what ~scale want got =
+  if exact then check_bits what want got
+  else if Float.abs (got -. want) > pin_ulps *. epsilon_float *. scale then
+    Alcotest.failf "%s: %h, dense reference %h (scale %g)" what got want scale
+
+let test_fp64_factor_pin n () =
+  let exact = n <= 64 in
+  let locs = pin_sites n in
+  let new_locs = Locations.uniform_2d ~rng:(Rng.create ~seed:11) ~n:8 in
+  List.iter
+    (fun nu ->
+      let what s = Printf.sprintf "n=%d ν=%g %s" n nu s in
+      let cov = Covariance.matern ~nugget:1e-4 ~sigma2:1. ~beta:0.1 ~nu () in
+      let l = dense_factor cov locs in
+      let z = Field.synthesize ~rng:(Rng.create ~seed:n) ~cov locs in
+      Array.iteri
+        (fun i v -> check_bits (what (Printf.sprintf "z.(%d)" i)) v z.(i))
+        (dense_draw (Rng.create ~seed:n) l);
+      let zs = Field.synthesize_many ~rng:(Rng.create ~seed:3) ~cov ~replicas:3 locs in
+      let rng = Rng.create ~seed:3 in
+      Array.iteri
+        (fun r zr ->
+          Array.iteri
+            (fun i v -> check_bits (what (Printf.sprintf "replica %d z.(%d)" r i)) v zr.(i))
+            (dense_draw rng l))
+        zs;
+      let e = Likelihood.evaluate Likelihood.Exact ~cov ~locs ~z in
+      check_bits (what "log_det") (Blas.log_det_from_chol l) e.Likelihood.log_det;
+      let q = sum_squares (Blas.trsv_lower ~l z) in
+      check_pinned ~exact (what "quad_form") ~scale:q q e.Likelihood.quad_form;
+      let p = Prediction.predict ~cov ~obs_locs:locs ~z ~new_locs in
+      let c0 = Covariance.eval cov 0. +. cov.Covariance.nugget in
+      Array.iteri
+        (fun j (mean, scale, variance) ->
+          check_pinned ~exact (what (Printf.sprintf "mean.(%d)" j)) ~scale mean
+            p.Prediction.mean.(j);
+          check_pinned ~exact (what (Printf.sprintf "variance.(%d)" j)) ~scale:c0 variance
+            p.Prediction.variance.(j))
+        (dense_kriging cov l ~obs_locs:locs ~z ~new_locs))
+    [ 0.5; 1.3 ]
+
+(* An indefinite Σ (squared exponential, no nugget) whose dense
+   factorization fails past the first 64-wide tile: every FP64 path
+   reports the same global pivot, and the robust evaluation reports
+   [Indefinite] instead of raising. *)
+let test_fp64_factor_pin_indefinite () =
+  let n = 100 in
+  let locs = pin_sites n in
+  let cov = Covariance.sqexp ~nugget:0. ~sigma2:1. ~beta:0.5 () in
+  let pivot =
+    match dense_factor cov locs with
+    | _ -> Alcotest.fail "the dense reference factorized"
+    | exception Blas.Not_positive_definite p -> p
+  in
+  Alcotest.(check bool) (Printf.sprintf "pivot %d past the first tile" pivot) true (pivot >= 64);
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted an indefinite Σ" what
+    | exception Blas.Not_positive_definite p -> Alcotest.(check int) what pivot p
+  in
+  raises "Field.synthesize" (fun () -> ignore (Field.synthesize ~rng:(rng ()) ~cov locs));
+  let z = Array.make n 1. in
+  raises "Likelihood.evaluate Exact" (fun () ->
+      ignore (Likelihood.evaluate Likelihood.Exact ~cov ~locs ~z));
+  let e = Likelihood.evaluate_robust Likelihood.Exact ~cov ~locs ~z in
+  Alcotest.(check bool) "evaluate_robust reports Indefinite" true
+    (e.Likelihood.status = Likelihood.Indefinite)
+
 let () =
   Alcotest.run "geostat"
     [
@@ -508,4 +636,9 @@ let () =
           Alcotest.test_case "interpolates" `Quick test_prediction_interpolates;
           Alcotest.test_case "variance bounded" `Quick test_prediction_variance_grows_far_away;
         ] );
+      ( "fp64 pin",
+        List.map
+          (fun n -> Alcotest.test_case (Printf.sprintf "n=%d" n) `Quick (test_fp64_factor_pin n))
+          [ 20; 64; 65; 100; 384 ]
+        @ [ Alcotest.test_case "indefinite" `Quick test_fp64_factor_pin_indefinite ] );
     ]

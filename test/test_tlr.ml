@@ -20,12 +20,12 @@ let test_qr_reconstructs () =
       let a = Mat.init ~rows:m ~cols:k (fun _ _ -> Rng.gaussian rng) in
       let q, r = Factor.qr_thin a in
       let qr = Mat.create ~rows:m ~cols:k in
-      Blas.gemm ~alpha:1. q r ~beta:0. qr;
+      Blas.gemm_nt ~alpha:1. q (Mat.transpose r) ~beta:0. qr;
       Alcotest.(check bool) (Printf.sprintf "QR=A (%dx%d)" m k) true
         (Mat.rel_diff qr ~reference:a < 1e-12);
       (* QᵀQ = I *)
       let qtq = Mat.create ~rows:k ~cols:k in
-      Blas.gemm ~transa:true ~alpha:1. q q ~beta:0. qtq;
+      Blas.gemm_nt ~alpha:1. (Mat.transpose q) (Mat.transpose q) ~beta:0. qtq;
       Alcotest.(check bool) "orthonormal" true
         (Mat.rel_diff qtq ~reference:(Mat.identity k) < 1e-12))
     [ (5, 5); (12, 4); (30, 7); (8, 1) ]
@@ -228,6 +228,43 @@ let test_mixed_precision_tlr () =
   Alcotest.(check bool) (Printf.sprintf "mixed TLR residual %g" r) true
     (r > 1e-12 && r < 1e-3)
 
+(* The factor pinned bit for bit: the MD5 of the log-determinant and of
+   every factor tile (dense entries, or U then V of a low-rank tile) over
+   tolerances that exercise each low-rank product and recompression, with
+   and without a precision map. *)
+let test_tlr_factor_digest () =
+  let _, tiled = covariance_problem ~n:256 ~nb:32 in
+  let b = Buffer.create 4096 in
+  let add_bits v = Buffer.add_int64_le b (Int64.bits_of_float v) in
+  let add_mat m =
+    for j = 0 to Mat.cols m - 1 do
+      for i = 0 to Mat.rows m - 1 do
+        add_bits (Mat.get m i j)
+      done
+    done
+  in
+  let ranks = ref 0 in
+  List.iter
+    (fun (tol, u_req) ->
+      let precision = Option.map (fun u_req -> Pm.of_tiled ~u_req tiled) u_req in
+      let tlr = Tlr.compress ?precision ~tol tiled in
+      Tlr.cholesky tlr;
+      add_bits (Tlr.log_det tlr);
+      for i = 0 to Tlr.nt tlr - 1 do
+        for j = 0 to i do
+          match Tlr.tile tlr i j with
+          | Tlr.Dense d -> add_mat d
+          | Tlr.Low_rank lr ->
+            incr ranks;
+            add_mat lr.Lowrank.u;
+            add_mat lr.Lowrank.v
+        done
+      done)
+    [ (1e-4, None); (1e-8, None); (1e-6, Some 1e-6) ];
+  Alcotest.(check bool) "low-rank tiles present" true (!ranks > 0);
+  Alcotest.(check string) "factor digest" "9677c29d6a369b79a0a35f7d3b483b7f"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let test_tlr_not_spd () =
   let d = Mat.init ~rows:64 ~cols:64 (fun i j -> if i = j then -1. else 0.) in
   let tlr = Tlr.compress ~tol:1e-8 (Tiled.of_dense ~nb:16 d) in
@@ -278,6 +315,7 @@ let () =
           Alcotest.test_case "residual tracks tol" `Quick test_tlr_cholesky_residual_tracks_tol;
           Alcotest.test_case "solve & logdet" `Quick test_tlr_solve_and_logdet;
           Alcotest.test_case "mixed-precision TLR" `Quick test_mixed_precision_tlr;
+          Alcotest.test_case "factor digest" `Quick test_tlr_factor_digest;
           Alcotest.test_case "not SPD" `Quick test_tlr_not_spd;
         ] );
     ]
