@@ -529,42 +529,54 @@ let run cfg =
     else count (fun o -> klass_ok o.klass && o.footer = None) main
   in
   (* Tracing overhead: median in-process request latency of a traced
-     server over an untraced one, same shape, warm cache (first request
-     per server is the one miss; the median is unaffected). *)
+     server over an untraced one, same shape, on one pool.  Each server
+     takes its one cache miss in a warm-up request; then 51 requests per
+     side run in interleaved pairs, alternating which side goes first, so
+     drift on a noisy host lands on both sides alike. *)
   let obs_overhead_frac =
     if not cfg.trace then None
     else begin
-      let median_latency traced =
-        let p = Pool.create () in
-        let s =
-          Server.create ~obs:(Metrics.create ()) ~max_inflight:2
-            ~trace_sample:(if traced then 1.0 else 0.)
-            ~pool:p ()
-        in
-        let m = 11 in
-        let lat =
-          Array.init m (fun i ->
-              let req =
-                {
-                  P.id = Printf.sprintf "ovh%c-%d" (if traced then 't' else 'u') i;
-                  priority = P.Normal;
-                  timeout_s = None;
-                  payload =
-                    P.Likelihood { (shapes.(0)) with P.data_seed = 500 + i };
-                }
-              in
-              let t0 = Unix.gettimeofday () in
-              (match Server.handle s req with
-              | P.Likelihood_r _ -> ()
-              | _ -> failwith "b_serve: overhead probe did not factorize");
-              Unix.gettimeofday () -. t0)
-        in
-        Pool.shutdown p;
-        Array.sort compare lat;
-        lat.(m / 2)
+      let pairs = 51 in
+      let p = Pool.create () in
+      let server traced =
+        Server.create ~obs:(Metrics.create ()) ~max_inflight:2
+          ~trace_sample:(if traced then 1.0 else 0.)
+          ~pool:p ()
       in
-      let plain = median_latency false in
-      let traced = median_latency true in
+      let plain_s = server false and traced_s = server true in
+      let latency s id seed =
+        let req =
+          {
+            P.id;
+            priority = P.Normal;
+            timeout_s = None;
+            payload = P.Likelihood { (shapes.(0)) with P.data_seed = seed };
+          }
+        in
+        let t0 = Unix.gettimeofday () in
+        (match Server.handle s req with
+        | P.Likelihood_r _ -> ()
+        | _ -> failwith "b_serve: overhead probe did not factorize");
+        Unix.gettimeofday () -. t0
+      in
+      ignore (latency plain_s "ovhu-warm" 499);
+      ignore (latency traced_s "ovht-warm" 499);
+      let plain = Array.make pairs 0. and traced = Array.make pairs 0. in
+      for i = 0 to pairs - 1 do
+        let run_plain () =
+          plain.(i) <- latency plain_s (Printf.sprintf "ovhu-%d" i) (500 + i)
+        and run_traced () =
+          traced.(i) <- latency traced_s (Printf.sprintf "ovht-%d" i) (500 + i)
+        in
+        if i mod 2 = 0 then (run_plain (); run_traced ())
+        else (run_traced (); run_plain ())
+      done;
+      Pool.shutdown p;
+      let median a =
+        Array.sort compare a;
+        a.(pairs / 2)
+      in
+      let plain = median plain and traced = median traced in
       Some (if plain <= 0. then 0. else Float.max 0. ((traced -. plain) /. plain))
     end
   in

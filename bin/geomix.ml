@@ -68,10 +68,12 @@ let verbose_arg =
            (debug|info|warn|error) selects the stderr level; unset means no \
            event streaming.")
 
-let stderr_bus_of ~verbose =
+(* The stderr sink --verbose or GEOMIX_LOG asks for, on the run's registry. *)
+let attach_stderr_of ~verbose reg =
   let module Events = Geomix_obs.Events in
-  if verbose then Some (Events.stderr_bus Events.Debug)
-  else Option.map Events.stderr_bus (Events.env_level ())
+  let level = if verbose then Some Events.Debug else Events.env_level () in
+  let events = Geomix_obs.Metrics.events reg in
+  Option.iter (fun min_level -> Events.attach_stderr ~min_level events) level
 
 let pmap_of_config ~ntiles = function
   | `Fp64 -> Pm.uniform ~nt:ntiles Fp.Fp64
@@ -207,7 +209,6 @@ let stats_cmd =
   let module Trace = Geomix_runtime.Trace in
   let fb = Geomix_util.Table.fmt_bytes in
   let run ntiles config nb run_real run_nb workers trace_json gantt format verbose =
-    let bus = stderr_bus_of ~verbose in
     let pmap = pmap_of_config ~ntiles config in
     let cm = Cm.compute pmap in
     let m = Cm.motion cm pmap ~nb in
@@ -224,14 +225,15 @@ let stats_cmd =
       (100. *. Cm.stc_fraction cm);
     if run_real then begin
       let reg = Metrics.create () in
+      attach_stderr_of ~verbose reg;
       let profile = Geomix_obs.Profile.collector () in
       let n = ntiles * run_nb in
       let a = spd_test_matrix ~n ~nb:run_nb in
       let resources = ref 1 in
       let t0 = Unix.gettimeofday () in
-      Geomix_parallel.Pool.with_pool ~obs:reg ?bus ?num_workers:workers (fun pool ->
+      Geomix_parallel.Pool.with_pool ~obs:reg ?num_workers:workers (fun pool ->
         resources := Stdlib.max 1 (Geomix_parallel.Pool.num_workers pool);
-        Geomix_core.Mp_cholesky.factorize ~pool ~profile ?bus ~pmap a);
+        Geomix_core.Mp_cholesky.factorize ~pool ~profile ~obs:reg ~pmap a);
       let dt = Unix.gettimeofday () -. t0 in
       let trace = Trace.of_measures (Geomix_obs.Profile.measures profile) in
       Printf.printf "\nReal factorization: n=%d (nb=%d), %d worker(s), %.3f s wall clock\n"
@@ -372,8 +374,8 @@ let chaos_cmd =
   in
   let run seed ntiles config nb rate pivot_rate kinds sdc attempts workers format
       metrics_out verbose =
-    let bus = stderr_bus_of ~verbose in
     let reg = Metrics.create () in
+    attach_stderr_of ~verbose reg;
     let n = ntiles * nb in
     let a = spd_test_matrix ~n ~nb in
     let pmap = pmap_of_config ~ntiles config in
@@ -381,13 +383,13 @@ let chaos_cmd =
       if sdc && not (List.mem Fault.Sdc kinds) then kinds @ [ Fault.Sdc ] else kinds
     in
     let faults =
-      Fault.plan ~obs:reg ?bus ~rate ~kinds ~pivot_rate ~sleep:ignore ~seed ()
+      Fault.plan ~obs:reg ~rate ~kinds ~pivot_rate ~sleep:ignore ~seed ()
     in
     (* The guard (with snapshots, so detected corruptions are repairable in
        place) rides along whenever SDC is armed. *)
     let integrity =
       if List.mem Fault.Sdc kinds then
-        Some (Guard.create ~obs:reg ?bus ~snapshots:true ())
+        Some (Guard.create ~obs:reg ~snapshots:true ())
       else None
     in
     let retry = Retry.immediate ~max_attempts:attempts () in
@@ -405,8 +407,8 @@ let chaos_cmd =
         close_out oc
     in
     let report =
-      Geomix_parallel.Pool.with_pool ~obs:reg ?bus ?num_workers:workers (fun pool ->
-        Chol.factorize_robust ~pool ?bus ~faults ~retry ~obs:reg ?integrity ~pmap a)
+      Geomix_parallel.Pool.with_pool ~obs:reg ?num_workers:workers (fun pool ->
+        Chol.factorize_robust ~pool ~faults ~retry ~obs:reg ?integrity ~pmap a)
     in
     List.iter
       (fun e ->
@@ -626,14 +628,14 @@ let ooc_cmd =
   in
   let run seed ntiles config nb budget_tiles every dir resume kill_after
       kill_matrix rot disk_rate format metrics_out verbose =
-    let bus = stderr_bus_of ~verbose in
     let reg = Metrics.create () in
+    attach_stderr_of ~verbose reg;
     let n = ntiles * nb in
     let pmap = pmap_of_config ~ntiles config in
     let init () = spd_test_matrix ~n ~nb in
     let budget = budget_tiles * nb * nb * 8 in
     let faults =
-      if disk_rate > 0. then Some (Fault.plan ~obs:reg ?bus ~disk_rate ~seed ())
+      if disk_rate > 0. then Some (Fault.plan ~obs:reg ~disk_rate ~seed ())
       else None
     in
     (* Every mode ends by comparing against the same in-core factorization
@@ -943,12 +945,6 @@ let report_cmd =
   let fb = Geomix_util.Table.fmt_bytes in
   let pct x = Printf.sprintf "%.1f%%" (100. *. x) in
   let sec x = Printf.sprintf "%.6f s" x in
-  let level_rank = function
-    | Events.Debug -> 0
-    | Events.Info -> 1
-    | Events.Warn -> 2
-    | Events.Error -> 3
-  in
   let run smoke run_real ntiles config nb run_nb workers format out events verbose =
     (* --smoke: a fixed small instrumented run, the CI artifact preset. *)
     let ntiles, run_nb, workers, run_real =
@@ -1008,32 +1004,33 @@ let report_cmd =
       else begin
         let reg = Metrics.create () in
         let profile = Profile.collector () in
-        let bus = Events.create () in
+        let stream = Metrics.events reg in
         (* Sinks: a JSONL file with --events, machine-readable JSONL on stderr
            under GEOMIX_LOG (the report's stdout is the document), a pretty
            stderr narration with --verbose, and a ring the report itself uses
            to cross-check the streamed log against the trace. *)
         let events_oc = Option.map open_out events in
-        Option.iter (Events.attach_jsonl bus) events_oc;
+        Option.iter (Events.attach_jsonl stream) events_oc;
         (match Events.env_level () with
         | None -> ()
         | Some lvl ->
-          Events.on_event bus (fun e ->
-              if level_rank e.Events.level >= level_rank lvl then begin
+          Events.on_event stream (fun e ->
+              (* Levels are declared in ascending severity. *)
+              if e.Events.level >= lvl then begin
                 output_string stderr (Events.to_jsonl e);
                 output_char stderr '\n';
                 flush stderr
               end));
-        if verbose then Events.attach_stderr ~min_level:Events.Debug bus;
-        let ring = Events.ring ~capacity:65536 bus in
+        if verbose then Events.attach_stderr ~min_level:Events.Debug stream;
+        let ring = Events.ring ~capacity:65536 stream in
         let n = ntiles * run_nb in
         let a = spd_test_matrix ~n ~nb:run_nb in
         let resources = ref 1 in
-        let guard = Geomix_integrity.Guard.create ~obs:reg ~bus () in
+        let guard = Geomix_integrity.Guard.create ~obs:reg () in
         let t0 = Unix.gettimeofday () in
-        Geomix_parallel.Pool.with_pool ~obs:reg ~bus ?num_workers:workers (fun pool ->
+        Geomix_parallel.Pool.with_pool ~obs:reg ?num_workers:workers (fun pool ->
             resources := Stdlib.max 1 (Geomix_parallel.Pool.num_workers pool);
-            Chol.factorize ~pool ~bus ~profile ~integrity:guard ~pmap a);
+            Chol.factorize ~pool ~profile ~obs:reg ~integrity:guard ~pmap a);
         let wall = Unix.gettimeofday () -. t0 in
         let measures = Profile.measures profile in
         let trace = Trace.of_measures measures in
@@ -1380,8 +1377,8 @@ let serve_cmd =
   let run socket workers max_inflight queue_capacity cache_capacity max_requests
       drain_deadline integrity retry_attempts trace_sample stats_socket
       telemetry_out chaos_seed chaos_rate chaos_pivot_rate chaos_sdc verbose =
-    let bus = stderr_bus_of ~verbose in
     let obs = Geomix_obs.Metrics.create () in
+    attach_stderr_of ~verbose obs;
     let faults =
       match chaos_seed with
       | None -> None
@@ -1391,7 +1388,7 @@ let serve_cmd =
           else [ Fault.Transient ]
         in
         Some
-          (Fault.plan ~obs ?bus ~rate:chaos_rate ~kinds
+          (Fault.plan ~obs ~rate:chaos_rate ~kinds
              ~pivot_rate:chaos_pivot_rate ~seed ())
     in
     let retry =
@@ -1401,9 +1398,9 @@ let serve_cmd =
     (* SDC injection without a guard would serve silently wrong numbers —
        the one configuration the serving layer must never run in. *)
     let integrity = integrity || chaos_sdc in
-    Geomix_parallel.Pool.with_pool ~obs ?bus ?num_workers:workers (fun pool ->
+    Geomix_parallel.Pool.with_pool ~obs ?num_workers:workers (fun pool ->
         let server =
-          Server.create ~obs ?bus ~max_inflight ~queue_capacity ~cache_capacity
+          Server.create ~obs ~max_inflight ~queue_capacity ~cache_capacity
             ?faults ?retry ~integrity ~drain_deadline_s:drain_deadline
             ~trace_sample ~pool ()
         in

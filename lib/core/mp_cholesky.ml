@@ -17,6 +17,12 @@ module Guard = Geomix_integrity.Guard
 
 let pidx i j = (i * (i + 1) / 2) + j
 
+(* Narration onto the registry's event stream; nothing without a registry. *)
+let emit obs ~component ?level name fields =
+  match obs with
+  | None -> ()
+  | Some reg -> Events.emit ?level (Metrics.events reg) ~component ~name fields
+
 let comm_conversion ?cmap pmap =
   let cm = match cmap with Some cm -> cm | None -> Comm_map.compute pmap in
   if Comm_map.nt cm <> Precision_map.nt pmap then
@@ -28,7 +34,7 @@ let comm_conversion ?cmap pmap =
 (* One factorization attempt.  [fault_round] feeds the attempt slot of the
    pivot and SDC fault decisions, so each {!factorize_robust} round redraws
    independently; a plain {!factorize} is round 1. *)
-let factorize_round ?pool ?bus ?profile ?faults ?retry ?obs ?integrity ?cmap ?observe
+let factorize_round ?pool ?profile ?faults ?retry ?obs ?integrity ?cmap ?observe
     ?job ~fault_round ~pmap a =
   let ntiles = Tiled.nt a in
   if Precision_map.nt pmap <> ntiles then
@@ -262,11 +268,7 @@ let factorize_round ?pool ?bus ?profile ?faults ?retry ?obs ?integrity ?cmap ?ob
     done;
     !low
   in
-  let emit ?level name fields =
-    match bus with
-    | None -> ()
-    | Some b -> Events.emit ?level b ~component:"cholesky" ~name fields
-  in
+  let emit = emit obs ~component:"cholesky" in
   let execute id =
     match Cholesky_dag.kind_of dag id with
     | Task.Potrf k ->
@@ -324,11 +326,17 @@ let factorize_round ?pool ?bus ?profile ?faults ?retry ?obs ?integrity ?cmap ?ob
   let task_label id = Task.name (Cholesky_dag.kind_of dag id) in
   let task_prec id = Fpformat.name (exec_prec (Cholesky_dag.kind_of dag id)) in
   (* The one per-task record of a measured run: the profile measure, the
-     bus's task_begin/task_end pair and the span's task count, all from the
-     same floats.  Uninstrumented runs pass no hook and read no clock. *)
+     stream's task_begin/task_end pair and the span's task count, all from
+     the same floats.  Uninstrumented runs, and runs whose registry stream
+     has no sink, pass no hook and read no clock. *)
+  let narrating =
+    match obs with
+    | Some reg -> Events.enabled (Metrics.events reg) Events.Debug
+    | None -> false
+  in
   let on_task =
-    match (profile, bus, span) with
-    | None, None, None -> None
+    match (profile, narrating, span) with
+    | None, false, None -> None
     | _ ->
       Some
         (fun ~id ~worker ~start ~stop ->
@@ -346,9 +354,7 @@ let factorize_round ?pool ?bus ?profile ?faults ?retry ?obs ?integrity ?cmap ?ob
                 start;
                 stop;
               });
-          (match bus with
-          | None -> ()
-          | Some _ ->
+          if narrating then begin
             (* Both events are emitted at completion but carry the measured
                run-relative span in ["at"], so replaying the log rebuilds
                the profile's makespan exactly. *)
@@ -358,7 +364,8 @@ let factorize_round ?pool ?bus ?profile ?faults ?retry ?obs ?integrity ?cmap ?ob
             in
             emit ~level:Events.Debug "task_begin" (base @ [ ("at", Events.fnum start) ]);
             emit ~level:Events.Debug "task_end"
-              (base @ [ ("at", Events.fnum stop); ("dur", Events.fnum (stop -. start)) ]));
+              (base @ [ ("at", Events.fnum stop); ("dur", Events.fnum (stop -. start)) ])
+          end;
           match span with None -> () | Some sp -> Span.note_task sp)
   in
   (* Indefiniteness is deterministic under restore-and-re-run, so retrying
@@ -393,8 +400,8 @@ let factorize_round ?pool ?bus ?profile ?faults ?retry ?obs ?integrity ?cmap ?ob
           Metrics.add restored (8 * Mat.rows m * Mat.cols m) )
   in
   let note_retry =
-    match (metric_retry, bus, span) with
-    | None, None, None -> None
+    match (metric_retry, span) with
+    | None, None -> None
     | _ ->
       Some
         (fun ~id ~attempt exn ->
@@ -468,9 +475,9 @@ let factorize_round ?pool ?bus ?profile ?faults ?retry ?obs ?integrity ?cmap ?ob
     Mat.zero_upper (Tiled.tile a k k)
   done
 
-let factorize ?pool ?bus ?profile ?faults ?retry ?obs ?integrity ?cmap ?observe
+let factorize ?pool ?profile ?faults ?retry ?obs ?integrity ?cmap ?observe
     ?job ~pmap a =
-  factorize_round ?pool ?bus ?profile ?faults ?retry ?obs ?integrity ?cmap ?observe
+  factorize_round ?pool ?profile ?faults ?retry ?obs ?integrity ?cmap ?observe
     ?job ~fault_round:1 ~pmap a
 
 (* Precision-escalation recovery. *)
@@ -492,7 +499,7 @@ let restore_tiles ~from a =
 (* Band-scoped retries before the whole map is promoted. *)
 let band_budget = 4
 
-let factorize_robust ?pool ?bus ?profile ?faults ?retry ?obs ?integrity ?cmap ?job
+let factorize_robust ?pool ?profile ?faults ?retry ?obs ?integrity ?cmap ?job
     ~pmap a =
   let note_band, note_full, note_indefinite =
     match obs with
@@ -505,11 +512,7 @@ let factorize_robust ?pool ?bus ?profile ?faults ?retry ?obs ?integrity ?cmap ?j
         (fun () -> Metrics.incr full),
         fun () -> Metrics.incr indef )
   in
-  let emit ?level name fields =
-    match bus with
-    | None -> ()
-    | Some b -> Events.emit ?level b ~component:"recovery" ~name fields
-  in
+  let emit = emit obs ~component:"recovery" in
   let original = Tiled.copy a in
   let rec go round pmap events bands =
     (* The caller's memoized communication map matches the original
@@ -517,7 +520,7 @@ let factorize_robust ?pool ?bus ?profile ?faults ?retry ?obs ?integrity ?cmap ?j
        must re-derive their transfers. *)
     let cmap = if round = 1 then cmap else None in
     match
-      factorize_round ?pool ?bus ?profile ?faults ?retry ?obs ?integrity ?cmap
+      factorize_round ?pool ?profile ?faults ?retry ?obs ?integrity ?cmap
         ?job ~fault_round:round ~pmap a
     with
     | () -> { outcome = Factorized; escalations = List.rev events; rounds = round; pmap }

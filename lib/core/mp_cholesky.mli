@@ -31,7 +31,6 @@ val comm_conversion :
 
 val factorize :
   ?pool:Geomix_parallel.Pool.t ->
-  ?bus:Geomix_obs.Events.t ->
   ?profile:Geomix_obs.Profile.collector ->
   ?faults:Geomix_fault.Fault.t ->
   ?retry:Geomix_fault.Retry.policy ->
@@ -87,13 +86,16 @@ val factorize :
     {!Geomix_runtime.Trace.of_measures} turns the measures into a trace for
     the Chrome-JSON and Gantt exporters.
 
-    [?bus] streams the same execution onto the telemetry bus (component
-    ["cholesky"]): Debug [task_begin]/[task_end] pairs carrying the measured
-    run-relative span in field ["at"] (the same floats [?profile] records,
-    so the streamed log reconstructs the measured makespan exactly), an
-    Info [panel] event per completed POTRF(k) with its precision, and Warn
-    [retry] events per supervised re-execution (task, attempt, error and —
-    when [?retry] is given — the backoff applied).
+    [?obs]'s event stream ({!Geomix_obs.Metrics.events}) narrates the same
+    execution (component ["cholesky"]): Debug [task_begin]/[task_end] pairs
+    carrying the measured run-relative span in field ["at"] (the same
+    floats [?profile] records, so the streamed log reconstructs the
+    measured makespan exactly), an Info [panel] event per completed
+    POTRF(k) with its precision, and Warn [retry] events per supervised
+    re-execution (task, attempt, error and — when [?retry] is given — the
+    backoff applied).  The per-task pair is built only while a sink is
+    attached to that stream: without one, as without [?profile] and a
+    traced [?job], the run installs no per-task hook and reads no clock.
 
     {b Supervised recovery.}  [?faults] subjects every kernel to the seeded
     fault plan (site ["exec"], keyed by the ["POTRF(3)"]-style task name) and
@@ -202,7 +204,6 @@ type report = {
 
 val factorize_robust :
   ?pool:Geomix_parallel.Pool.t ->
-  ?bus:Geomix_obs.Events.t ->
   ?profile:Geomix_obs.Profile.collector ->
   ?faults:Geomix_fault.Fault.t ->
   ?retry:Geomix_fault.Retry.policy ->
@@ -222,13 +223,13 @@ val factorize_robust :
     input values.  At most 4 band-scoped retries run before the full map is
     promoted.  With [?obs], records
     [recovery.band_escalations], [recovery.full_escalations] and
-    [recovery.indefinite].  With [?bus], escalation decisions are narrated
-    on component ["recovery"]: a Warn [escalate] event per promotion (with
-    the offending block, scope and round) and an Error [indefinite] event
-    when the all-FP64 map still fails.  [?bus] and [?profile] are also
-    passed through to every {!factorize} round, so a multi-round recovery
-    produces one continuous event stream and a profile whose per-task
-    durations accumulate across rounds.  Never raises
+    [recovery.indefinite], and its event stream narrates escalation
+    decisions on component ["recovery"]: a Warn [escalate] event per
+    promotion (with the offending block, scope and round) and an Error
+    [indefinite] event when the all-FP64 map still fails.  [?obs] and
+    [?profile] are also passed through to every {!factorize} round, so a
+    multi-round recovery produces one continuous event stream and a
+    profile whose per-task durations accumulate across rounds.  Never raises
     [Not_positive_definite]. *)
 
 val solve_lower : Tiled.t -> float array -> float array

@@ -46,6 +46,7 @@ type obs_state = {
   m_sdc : Metrics.counter;
   m_pivots : Metrics.counter;
   m_disk : Metrics.counter;
+  events : Events.t;
 }
 
 type t = {
@@ -64,7 +65,6 @@ type t = {
   n_disk : int Atomic.t;
   n_by_kind : int Atomic.t array; (* indexed like [kinds] *)
   obs : obs_state option;
-  bus : Events.t option;
 }
 
 (* splitmix64 finalizer — the same mixing the Rng seeder uses, applied here
@@ -93,7 +93,7 @@ let hash_triple ~seed ~site ~task ~attempt =
 (* Top 53 bits as a uniform draw in [0, 1). *)
 let u01 h = Int64.to_float (Int64.shift_right_logical h 11) /. 9007199254740992.
 
-let plan ?obs ?bus ?(rate = 0.) ?(kinds = [ Transient ]) ?(pivot_rate = 0.)
+let plan ?obs ?(rate = 0.) ?(kinds = [ Transient ]) ?(pivot_rate = 0.)
     ?(disk_rate = 0.) ?(stall = 1e-3) ?(sleep = Unix.sleepf) ?(fail_attempts = 1)
     ?(only = fun _ -> true) ~seed () =
   if not (rate >= 0. && rate <= 1.) then invalid_arg "Fault.plan: rate outside [0, 1]";
@@ -130,9 +130,9 @@ let plan ?obs ?bus ?(rate = 0.) ?(kinds = [ Transient ]) ?(pivot_rate = 0.)
             m_sdc = Metrics.counter reg "fault.sdc";
             m_pivots = Metrics.counter reg "fault.pivots";
             m_disk = Metrics.counter reg "fault.disk";
+            events = Metrics.events reg;
           })
         obs;
-    bus;
   }
 
 let seed t = t.seed
@@ -167,17 +167,19 @@ let record t k =
       | Stall -> o.m_stalls
       | Sdc -> o.m_sdc)
 
-let emit_inject t ~site ~task ~attempt kind =
-  match t.bus with
+let emit t name fields =
+  match t.obs with
   | None -> ()
-  | Some bus ->
-    Events.emit ~level:Events.Warn bus ~component:"fault" ~name:"inject"
-      [
-        ("site", Events.fstr site);
-        ("task", Events.fstr task);
-        ("attempt", Events.fint attempt);
-        ("kind", Events.fstr (kind_name kind));
-      ]
+  | Some o -> Events.emit ~level:Events.Warn o.events ~component:"fault" ~name fields
+
+let emit_inject t ~site ~task ~attempt kind =
+  emit t "inject"
+    [
+      ("site", Events.fstr site);
+      ("task", Events.fstr task);
+      ("attempt", Events.fint attempt);
+      ("kind", Events.fstr (kind_name kind));
+    ]
 
 let wrap t ~site ~task ~attempt body =
   match decide t ~site ~task ~attempt with
@@ -206,11 +208,7 @@ let pivot_failure t ~task ~attempt =
     if fire then begin
       Atomic.incr t.n_pivots;
       (match t.obs with None -> () | Some o -> Metrics.incr o.m_pivots);
-      match t.bus with
-      | None -> ()
-      | Some bus ->
-        Events.emit ~level:Events.Warn bus ~component:"fault" ~name:"pivot"
-          [ ("task", Events.fstr task); ("attempt", Events.fint attempt) ]
+      emit t "pivot" [ ("task", Events.fstr task); ("attempt", Events.fint attempt) ]
     end;
     fire
 
@@ -238,17 +236,14 @@ let sdc_decide t ~task ~attempt =
           Bitflip { bit; lane }
       in
       record t Sdc;
-      (match t.bus with
-      | None -> ()
-      | Some bus ->
-        Events.emit ~level:Events.Warn bus ~component:"fault" ~name:"inject"
-          [
-            ("site", Events.fstr "sdc");
-            ("task", Events.fstr task);
-            ("attempt", Events.fint attempt);
-            ("kind", Events.fstr (kind_name Sdc));
-            ("detail", Events.fstr (sdc_name sdc));
-          ]);
+      emit t "inject"
+        [
+          ("site", Events.fstr "sdc");
+          ("task", Events.fstr task);
+          ("attempt", Events.fint attempt);
+          ("kind", Events.fstr (kind_name Sdc));
+          ("detail", Events.fstr (sdc_name sdc));
+        ];
       Some sdc
     end
 
@@ -286,17 +281,14 @@ let disk_decide t ~op ~path ~attempt =
       | Some o ->
         Metrics.incr o.m_injected;
         Metrics.incr o.m_disk);
-      (match t.bus with
-      | None -> ()
-      | Some bus ->
-        Events.emit ~level:Events.Warn bus ~component:"fault" ~name:"inject"
-          [
-            ("site", Events.fstr site);
-            ("task", Events.fstr path);
-            ("attempt", Events.fint attempt);
-            ("kind", Events.fstr "disk");
-            ("detail", Events.fstr (disk_name fault));
-          ]);
+      emit t "inject"
+        [
+          ("site", Events.fstr site);
+          ("task", Events.fstr path);
+          ("attempt", Events.fint attempt);
+          ("kind", Events.fstr "disk");
+          ("detail", Events.fstr (disk_name fault));
+        ];
       Some fault
     end
 

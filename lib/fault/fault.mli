@@ -65,7 +65,6 @@ type t
 
 val plan :
   ?obs:Geomix_obs.Metrics.t ->
-  ?bus:Geomix_obs.Events.t ->
   ?rate:float ->
   ?kinds:kind list ->
   ?pivot_rate:float ->
@@ -104,8 +103,8 @@ val plan :
       eligible tasks, e.g. [(fun n -> String.length n > 0 && n.[0] = 'G')]
       to fault only GEMMs.
 
-    When built with [?bus], every granted injection is narrated on the
-    telemetry bus at Warn (component ["fault"]): [inject] with
+    When built with [?obs], every granted injection is narrated on the
+    registry's event stream at Warn (component ["fault"]): [inject] with
     [site]/[task]/[attempt]/[kind] fields, and [pivot] with
     [task]/[attempt].
 
@@ -147,7 +146,7 @@ val disk_decide : t -> op:disk_op -> path:string -> attempt:int -> disk option
     Write ops draw {!Short_write} or {!Enospc}; read ops draw
     {!Read_bit_flip}.  Attempts above [fail_attempts] never fault, so the
     store's bounded rewrite/re-read retry always converges.  Counts and
-    narrates on the bus when [Some]. *)
+    narrates on the event stream when [Some]. *)
 
 val disk_name : disk -> string
 

@@ -22,6 +22,7 @@ type obs_state = {
   m_recovered : Metrics.counter;
   m_violations : Metrics.counter;
   m_bytes : Metrics.counter;
+  events : Events.t;
 }
 
 type entry = { cs : Checksum.t; snap : Mat.t option }
@@ -38,10 +39,9 @@ type t = {
   n_violations : int Atomic.t;
   n_bytes : int Atomic.t;
   obs : obs_state option;
-  bus : Events.t option;
 }
 
-let create ?obs ?bus ?(snapshots = false) ?(safety = Checksum.default_safety) () =
+let create ?obs ?(snapshots = false) ?(safety = Checksum.default_safety) () =
   {
     safety;
     snapshots;
@@ -63,9 +63,9 @@ let create ?obs ?bus ?(snapshots = false) ?(safety = Checksum.default_safety) ()
             m_recovered = Metrics.counter reg "integrity.sdc_recovered";
             m_violations = Metrics.counter reg "integrity.violations";
             m_bytes = Metrics.counter reg "integrity.hashed_bytes";
+            events = Metrics.events reg;
           })
         obs;
-    bus;
   }
 
 let snapshots t = t.snapshots
@@ -80,6 +80,11 @@ let find t ~key =
   let e = Hashtbl.find_opt t.table key in
   Mutex.unlock t.mutex;
   Option.map (fun e -> e.cs) e
+
+let emit t level name fields =
+  match t.obs with
+  | None -> ()
+  | Some o -> Events.emit ~level o.events ~component:"integrity" ~name fields
 
 let count_bytes t n =
   Atomic.fetch_and_add t.n_bytes n |> ignore;
@@ -105,33 +110,24 @@ let check t ~key m =
 let note_detected t ~key ~task =
   Atomic.incr t.n_detected;
   (match t.obs with None -> () | Some o -> Metrics.incr o.m_detected);
-  match t.bus with
-  | None -> ()
-  | Some bus ->
-    Events.emit ~level:Events.Warn bus ~component:"integrity" ~name:"sdc_detected"
-      [ ("key", Events.fint key); ("task", Events.fstr task) ]
+  emit t Events.Warn "sdc_detected"
+    [ ("key", Events.fint key); ("task", Events.fstr task) ]
 
 let note_recovered t ~key ~task =
   Atomic.incr t.n_recovered;
   (match t.obs with None -> () | Some o -> Metrics.incr o.m_recovered);
-  match t.bus with
-  | None -> ()
-  | Some bus ->
-    Events.emit ~level:Events.Warn bus ~component:"integrity" ~name:"sdc_recovered"
-      [ ("key", Events.fint key); ("task", Events.fstr task) ]
+  emit t Events.Warn "sdc_recovered"
+    [ ("key", Events.fint key); ("task", Events.fstr task) ]
 
 let corrupt t ~key ~task reason =
   Atomic.incr t.n_violations;
   (match t.obs with None -> () | Some o -> Metrics.incr o.m_violations);
-  (match t.bus with
-  | None -> ()
-  | Some bus ->
-    Events.emit ~level:Events.Error bus ~component:"integrity" ~name:"corrupt"
-      [
-        ("key", Events.fint key);
-        ("task", Events.fstr task);
-        ("reason", Events.fstr reason);
-      ]);
+  emit t Events.Error "corrupt"
+    [
+      ("key", Events.fint key);
+      ("task", Events.fstr task);
+      ("reason", Events.fstr reason);
+    ];
   raise (Corrupt { key; task; reason })
 
 let verify t ~key ~task m =

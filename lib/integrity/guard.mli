@@ -24,14 +24,13 @@ type t
 
 val create :
   ?obs:Geomix_obs.Metrics.t ->
-  ?bus:Geomix_obs.Events.t ->
   ?snapshots:bool ->
   ?safety:float ->
   unit -> t
 (** [?obs] registers the [integrity.*] counters ([stamped], [verified],
-    [sdc_detected], [sdc_recovered], [violations], [hashed_bytes]);
-    [?bus] receives [integrity/sdc_detected], [integrity/sdc_recovered]
-    (both [Warn]) and [integrity/corrupt] ([Error]) events.
+    [sdc_detected], [sdc_recovered], [violations], [hashed_bytes]) and
+    narrates [integrity/sdc_detected], [integrity/sdc_recovered] (both
+    [Warn]) and [integrity/corrupt] ([Error]) on its event stream.
     [?snapshots] (default [false]) keeps a private copy of every stamped
     tile so {!restore} can repair in place; [?safety] (default
     {!Checksum.default_safety}) scales the conversion tolerance used by
@@ -66,7 +65,7 @@ val restore : t -> key:int -> Geomix_linalg.Mat.t -> bool
     dimensions disagree — the caller must then recover some other way. *)
 
 val note_detected : t -> key:int -> task:string -> unit
-(** Count (and publish on the bus) one detected corruption.  Called by
+(** Count (and narrate on the event stream) one detected corruption.  Called by
     {!verify} on failure; call it directly when a plain {!check} fails and
     recovery is attempted. *)
 

@@ -26,17 +26,15 @@ type event = {
 }
 
 type t = {
-  min_level : level;
   origin : float;
   mutex : Mutex.t;
   mutable next_seq : int;
-  mutable last_time : float; (* clamp: per-bus timestamps never go backwards *)
+  mutable last_time : float; (* clamp: per-stream timestamps never go backwards *)
   mutable sinks : (event -> unit) list; (* reverse subscription order *)
 }
 
-let create ?(level = Debug) () =
+let create () =
   {
-    min_level = level;
     origin = Unix.gettimeofday ();
     mutex = Mutex.create ();
     next_seq = 0;
@@ -44,9 +42,9 @@ let create ?(level = Debug) () =
     sinks = [];
   }
 
-let level t = t.min_level
-
-let enabled t lvl = level_rank lvl >= level_rank t.min_level
+(* Sinks are only ever added, so a racy read that sees none can only miss
+   an event emitted concurrently with the first subscription. *)
+let enabled t (_ : level) = t.sinks <> []
 
 let on_event t sink =
   Mutex.lock t.mutex;
@@ -54,17 +52,15 @@ let on_event t sink =
   Mutex.unlock t.mutex
 
 let emit ?(level = Info) t ~component ~name fields =
-  if level_rank level >= level_rank t.min_level then begin
+  if t.sinks <> [] then begin
     Mutex.lock t.mutex;
-    if t.sinks <> [] then begin
-      let now = Unix.gettimeofday () -. t.origin in
-      let time = if now > t.last_time then now else t.last_time in
-      t.last_time <- time;
-      let e = { seq = t.next_seq; time; level; component; name; fields } in
-      t.next_seq <- t.next_seq + 1;
-      (* Reverse once so sinks observe subscription order. *)
-      List.iter (fun sink -> sink e) (List.rev t.sinks)
-    end;
+    let now = Unix.gettimeofday () -. t.origin in
+    let time = if now > t.last_time then now else t.last_time in
+    t.last_time <- time;
+    let e = { seq = t.next_seq; time; level; component; name; fields } in
+    t.next_seq <- t.next_seq + 1;
+    (* Reverse once so sinks observe subscription order. *)
+    List.iter (fun sink -> sink e) (List.rev t.sinks);
     Mutex.unlock t.mutex
   end
 
@@ -75,7 +71,7 @@ type ring = { capacity : int; buf : event Queue.t }
 let ring ?(capacity = 4096) t =
   if capacity < 1 then invalid_arg "Events.ring";
   let r = { capacity; buf = Queue.create () } in
-  (* Called under the bus lock, so the queue needs no lock of its own. *)
+  (* Called under the stream lock, so the queue needs no lock of its own. *)
   on_event t (fun e ->
       Queue.push e r.buf;
       if Queue.length r.buf > r.capacity then ignore (Queue.pop r.buf));
@@ -186,11 +182,6 @@ let env_level () =
   match Sys.getenv_opt "GEOMIX_LOG" with
   | None -> None
   | Some s -> level_of_string (String.trim s)
-
-let stderr_bus lvl =
-  let t = create ~level:lvl () in
-  attach_stderr ~min_level:lvl t;
-  t
 
 (* Payload helpers *)
 

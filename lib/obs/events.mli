@@ -1,14 +1,16 @@
-(** Unified telemetry bus for the execution stack.
+(** Unified telemetry stream for the execution stack.
 
     {!Geomix_obs.Metrics} answers "how much" (counters, histograms);
     this answers "what happened, when": a structured, leveled event log
-    with per-bus monotonic timestamps and typed {!Jsonlite} payloads —
+    with per-stream monotonic timestamps and typed {!Jsonlite} payloads —
     the repo's analogue of PaRSEC's PINS instrumentation stream, which
     the paper's evaluation (Figs 8–10) is narrated from.
 
-    Producers ([Pool], [Dag_exec] via the runtime bridge, [Fault],
-    [Mp_cholesky]) take an optional [?bus] argument and emit events; the
-    bus fans each event out to its subscribed sinks:
+    Every {!Metrics} registry owns one stream ({!Metrics.events}), so the
+    run's one instrumentation handle is its registry.  Producers that take
+    [?obs] — [Pool], [Mp_cholesky], [Fault], [Guard], and the request
+    server's [Server], [Cache] and [Breaker] — emit onto that registry's
+    stream; the stream fans each event out to its subscribed sinks:
 
     - a {!ring} buffer (bounded in-memory history, for tests and reports);
     - a JSONL sink ({!attach_jsonl}) — one compact JSON object per line,
@@ -16,9 +18,13 @@
     - a pretty stderr sink ({!attach_stderr}), the one the [GEOMIX_LOG]
       environment variable and the CLI's [--verbose] flag control.
 
-    Cost model: a call site that passes no bus pays nothing; an emit below
-    the bus level, or on a bus with no sinks, is a branch and returns.  All
-    operations are thread-safe ({!emit} is called from worker domains). *)
+    Levels are filtered by the sinks, not by the stream.
+
+    Cost model: a producer given no registry pays nothing; an emit on a
+    stream with no sinks is one branch and returns without taking the
+    lock, so a stream on every registry costs nothing until a sink is
+    attached.  All operations are thread-safe ({!emit} is called from
+    worker domains). *)
 
 type level = Debug | Info | Warn | Error
 
@@ -29,10 +35,10 @@ val level_of_string : string -> level option
 (** Case-insensitive inverse of {!level_name}. *)
 
 type event = {
-  seq : int;  (** per-bus sequence number, from 0 *)
+  seq : int;  (** per-stream sequence number, from 0 *)
   time : float;
-      (** seconds since bus creation; non-decreasing across the bus even if
-          the wall clock steps backwards *)
+      (** seconds since stream creation; non-decreasing across the stream
+          even if the wall clock steps backwards *)
   level : level;
   component : string;  (** producer, e.g. ["pool"], ["fault"], ["cholesky"] *)
   name : string;  (** event kind within the component, e.g. ["task_end"] *)
@@ -41,27 +47,27 @@ type event = {
 
 type t
 
-val create : ?level:level -> unit -> t
-(** A bus recording events at [level] (default [Debug]) and above. *)
-
-val level : t -> level
+val create : unit -> t
+(** A stream with no sinks. *)
 
 val enabled : t -> level -> bool
-(** Whether an emit at this level would be recorded — guard for call sites
-    that build expensive payloads. *)
+(** Whether an emit at this level would be handed to a sink — guard for
+    call sites that build expensive payloads.  Sinks filter levels
+    themselves, so the answer is the same at every level: whether any
+    sink is attached. *)
 
 val emit :
   ?level:level -> t -> component:string -> name:string ->
   (string * Jsonlite.t) list -> unit
 (** Emit one event (default level [Info]) to every sink.  Discarded — with
-    no payload evaluation beyond the argument list — when below the bus
-    level. *)
+    no payload evaluation beyond the argument list — when no sink is
+    attached. *)
 
 (** {1 Sinks} *)
 
 val on_event : t -> (event -> unit) -> unit
-(** Subscribe a raw sink; called in emission order under the bus lock, so
-    sinks must not emit back into the same bus. *)
+(** Subscribe a raw sink; called in emission order under the stream's
+    lock, so sinks must not emit back into the same stream. *)
 
 type ring
 
@@ -87,9 +93,6 @@ val attach_stderr : ?min_level:level -> t -> unit
 
 val env_level : unit -> level option
 (** Parse [GEOMIX_LOG]. *)
-
-val stderr_bus : level -> t
-(** A bus at [level] with a stderr sink attached at the same level. *)
 
 (** {1 Serialisation} *)
 

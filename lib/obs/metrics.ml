@@ -23,9 +23,12 @@ type histogram = {
 
 type metric = C of counter | G of gauge | H of histogram
 
-type t = { table : (string, metric) Hashtbl.t; rmutex : Mutex.t }
+type t = { table : (string, metric) Hashtbl.t; rmutex : Mutex.t; events : Events.t }
 
-let create () = { table = Hashtbl.create 32; rmutex = Mutex.create () }
+let create () =
+  { table = Hashtbl.create 32; rmutex = Mutex.create (); events = Events.create () }
+
+let events t = t.events
 
 let with_registry t f =
   Mutex.lock t.rmutex;

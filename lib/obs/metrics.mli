@@ -27,6 +27,13 @@ type histogram
 
 val create : unit -> t
 
+val events : t -> Events.t
+(** The registry's event stream: the one instrumentation handle of a run.
+    Every producer given this registry as [?obs] narrates onto it; attach
+    sinks here ({!Events.ring}, {!Events.attach_jsonl},
+    {!Events.attach_stderr}).  Created with no sinks, so narration costs
+    one branch per emit until a sink is attached. *)
+
 val counter : t -> string -> counter
 val gauge : t -> string -> gauge
 

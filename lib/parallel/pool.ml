@@ -11,7 +11,7 @@ type job = {
   mutable pending : int;
   mutable error : (exn * Printexc.raw_backtrace) option;
   mutable skipped : int;
-  mutable narrated : int; (* skips already reported on the bus *)
+  mutable narrated : int; (* skips already reported on the event stream *)
   span : Geomix_obs.Span.t option;
       (* per-request trace context: every item run under this job adds
          its queue-wait and run time to the span *)
@@ -29,6 +29,7 @@ type obs_state = {
   queue_peak : Metrics.gauge;
   cancelled_total : Metrics.counter;
   worker_tasks : Metrics.counter array;
+  events : Events.t;
 }
 
 type t = {
@@ -39,13 +40,12 @@ type t = {
   mutable workers : unit Domain.t array;
   serial : bool;
   obs : obs_state option;
-  bus : Events.t option;
 }
 
 let emit t ?level name fields =
-  match t.bus with
+  match t.obs with
   | None -> ()
-  | Some bus -> Events.emit ?level bus ~component:"pool" ~name fields
+  | Some o -> Events.emit ?level o.events ~component:"pool" ~name fields
 
 let make_obs reg n =
   Metrics.set (Metrics.gauge reg "pool.workers") (float_of_int n);
@@ -59,6 +59,7 @@ let make_obs reg n =
     worker_tasks =
       Array.init (Stdlib.max 1 n) (fun i ->
           Metrics.counter reg (Printf.sprintf "pool.worker%d.tasks" i));
+    events = Metrics.events reg;
   }
 
 let settle_locked job =
@@ -146,7 +147,7 @@ let worker_loop t worker () =
   in
   loop ()
 
-let create ?obs ?bus ?num_workers () =
+let create ?obs ?num_workers () =
   let n =
     match num_workers with
     | Some n -> Stdlib.max 0 n
@@ -161,7 +162,6 @@ let create ?obs ?bus ?num_workers () =
       workers = [||];
       serial = n = 0;
       obs = Option.map (fun reg -> make_obs reg n) obs;
-      bus;
     }
   in
   emit t "create" [ ("workers", Events.fint n) ];
@@ -254,6 +254,6 @@ let shutdown t =
   end
   else Mutex.unlock t.mutex
 
-let with_pool ?obs ?bus ?num_workers f =
-  let t = create ?obs ?bus ?num_workers () in
+let with_pool ?obs ?num_workers f =
+  let t = create ?obs ?num_workers () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

@@ -38,17 +38,16 @@
     a worker-count gauge ([pool.workers]).  An uninstrumented pool takes
     no clock readings at all.
 
-    Passing [?bus] narrates the pool's lifecycle on the telemetry bus
-    (component ["pool"]): [create]/[shutdown] at Info, per-worker
-    [worker_start]/[worker_stop] at Debug, a job's first [error] at Error
-    and, once per failed job at its {!join_job}, the number of its thunks
-    skipped ([cancelled]) at Warn. *)
+    The same registry's event stream ({!Geomix_obs.Metrics.events})
+    narrates the pool's lifecycle (component ["pool"]): [create]/[shutdown]
+    at Info, per-worker [worker_start]/[worker_stop] at Debug, a job's
+    first [error] at Error and, once per failed job at its {!join_job},
+    the number of its thunks skipped ([cancelled]) at Warn. *)
 
 type t
 
 val create :
-  ?obs:Geomix_obs.Metrics.t -> ?bus:Geomix_obs.Events.t -> ?num_workers:int ->
-  unit -> t
+  ?obs:Geomix_obs.Metrics.t -> ?num_workers:int -> unit -> t
 (** [create ()] sizes the pool to [Domain.recommended_domain_count - 1]
     workers (never negative). *)
 
@@ -65,8 +64,7 @@ val shutdown : t -> unit
     Idempotent.  Errors belong to jobs, so this never raises. *)
 
 val with_pool :
-  ?obs:Geomix_obs.Metrics.t -> ?bus:Geomix_obs.Events.t -> ?num_workers:int ->
-  (t -> 'a) -> 'a
+  ?obs:Geomix_obs.Metrics.t -> ?num_workers:int -> (t -> 'a) -> 'a
 (** Scoped creation: shuts the pool down on exit or exception. *)
 
 type job

@@ -69,7 +69,7 @@ type t = {
   m_open : Metrics.gauge option;
   m_queue_mean : Metrics.gauge option;
   m_miss_mean : Metrics.gauge option;
-  bus : Events.t option;
+  events : Events.t option;
 }
 
 let validate c =
@@ -82,7 +82,7 @@ let validate c =
     invalid_arg "Breaker.create: miss_low must be <= miss_high";
   if c.hold_s < 0. then invalid_arg "Breaker.create: hold_s must be >= 0"
 
-let create ?obs ?bus ?(config = default_config) ~now () =
+let create ?obs ?(config = default_config) ~now () =
   validate config;
   {
     config;
@@ -99,16 +99,15 @@ let create ?obs ?bus ?(config = default_config) ~now () =
       Option.map (fun r -> Metrics.gauge r "serve.brownout_queue_mean") obs;
     m_miss_mean =
       Option.map (fun r -> Metrics.gauge r "serve.brownout_miss_mean") obs;
-    bus;
+    events = Option.map Metrics.events obs;
   }
 
 let config t = t.config
 
 let emit t name fields =
-  match t.bus with
+  match t.events with
   | None -> ()
-  | Some bus ->
-    Events.emit ~level:Events.Warn bus ~component:"serve" ~name fields
+  | Some ev -> Events.emit ~level:Events.Warn ev ~component:"serve" ~name fields
 
 let set_open_gauge t v =
   match t.m_open with None -> () | Some g -> Metrics.set g v

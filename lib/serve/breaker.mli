@@ -39,7 +39,6 @@ type t
 
 val create :
   ?obs:Geomix_obs.Metrics.t ->
-  ?bus:Geomix_obs.Events.t ->
   ?config:config ->
   now:(unit -> float) ->
   unit ->
@@ -48,8 +47,8 @@ val create :
     (gauge, 1 while Open) and the sliding-window signal gauges
     [serve.brownout_queue_mean] / [serve.brownout_miss_mean] (the exact
     means the trip decisions are made from, refreshed on every
-    observation); [?bus] narrates [brownout_trip] / [brownout_recover] at
-    Warn on component ["serve"].
+    observation) and narrates [brownout_trip] / [brownout_recover] at
+    Warn on component ["serve"] of the registry's event stream.
     @raise Invalid_argument on a non-positive window, [min_samples] or
     [mc_chunk], a low-water mark above its high-water mark, or a negative
     [hold_s]. *)

@@ -58,10 +58,10 @@ type t = {
   misses : Metrics.counter;
   evictions : Metrics.counter;
   invalidations : Metrics.counter;
-  bus : Events.t option;
+  events : Events.t;
 }
 
-let create ?obs ?bus ?(capacity = 32) () =
+let create ?obs ?(capacity = 32) () =
   if capacity < 1 then invalid_arg "Cache.create: capacity must be >= 1";
   let reg = match obs with Some r -> r | None -> Metrics.create () in
   {
@@ -75,13 +75,11 @@ let create ?obs ?bus ?(capacity = 32) () =
     misses = Metrics.counter reg "serve.cache.misses";
     evictions = Metrics.counter reg "serve.cache.evictions";
     invalidations = Metrics.counter reg "serve.cache.invalidations";
-    bus;
+    events = Metrics.events reg;
   }
 
 let emit t ?(level = Events.Debug) name fields =
-  match t.bus with
-  | None -> ()
-  | Some bus -> Events.emit ~level bus ~component:"serve" ~name fields
+  Events.emit ~level t.events ~component:"serve" ~name fields
 
 let capacity t = t.capacity
 

@@ -24,8 +24,8 @@
     Eviction is LRU over published entries ([Building] markers are never
     evicted — a waiter is parked on them), with hit/miss/eviction counters
     on {!Geomix_obs.Metrics} ([serve.cache.*]) and [cache_hit] /
-    [cache_miss] / [cache_evict] events on the telemetry bus (component
-    ["serve"]). *)
+    [cache_miss] / [cache_evict] events on that registry's event stream
+    (component ["serve"]). *)
 
 type key = {
   n : int;
@@ -59,7 +59,6 @@ type t
 
 val create :
   ?obs:Geomix_obs.Metrics.t ->
-  ?bus:Geomix_obs.Events.t ->
   ?capacity:int ->
   unit ->
   t

@@ -58,7 +58,6 @@ type t = {
   mutable lifecycle : lifecycle;
   mutable stop : (unit -> unit) option;
   obs : Metrics.t;
-  bus : Events.t option;
   m_requests : Metrics.counter;
   m_rejected : Metrics.counter;
   m_expired : Metrics.counter;
@@ -74,7 +73,7 @@ type t = {
   m_latency : Metrics.histogram;
 }
 
-let create ?obs ?bus ?(now = Unix.gettimeofday) ?(max_inflight = 4)
+let create ?obs ?(now = Unix.gettimeofday) ?(max_inflight = 4)
     ?(queue_capacity = 16) ?(cache_capacity = 32) ?(max_order = 4096)
     ?(max_replicates = 1024) ?faults ?retry ?(integrity = false)
     ?(drain_deadline_s = 5.0) ?(trace_sample = 0.) ?breaker_config ~pool () =
@@ -86,8 +85,8 @@ let create ?obs ?bus ?(now = Unix.gettimeofday) ?(max_inflight = 4)
   if not (Float.is_finite trace_sample) || trace_sample < 0. || trace_sample > 1.
   then invalid_arg "Server.create: trace_sample must be in [0, 1]";
   let obs = match obs with Some r -> r | None -> Metrics.create () in
-  let cache = Cache.create ~obs ?bus ~capacity:cache_capacity () in
-  let breaker = Breaker.create ~obs ?bus ?config:breaker_config ~now () in
+  let cache = Cache.create ~obs ~capacity:cache_capacity () in
+  let breaker = Breaker.create ~obs ?config:breaker_config ~now () in
   let cmp a b =
     if a.rank <> b.rank then compare a.rank b.rank else compare a.seq b.seq
   in
@@ -115,7 +114,6 @@ let create ?obs ?bus ?(now = Unix.gettimeofday) ?(max_inflight = 4)
     lifecycle = Running;
     stop = None;
     obs;
-    bus;
     m_requests = Metrics.counter obs "serve.requests";
     m_rejected = Metrics.counter obs "serve.rejected";
     m_expired = Metrics.counter obs "serve.deadline_expired";
@@ -137,9 +135,7 @@ let pool t = t.pool
 let breaker t = t.breaker
 
 let emit ?(level = Events.Info) t name fields =
-  match t.bus with
-  | None -> ()
-  | Some bus -> Events.emit ~level bus ~component:"serve" ~name fields
+  Events.emit ~level (Metrics.events t.obs) ~component:"serve" ~name fields
 
 let served t =
   Mutex.lock t.mutex;
@@ -423,11 +419,11 @@ let factorized_problem ?trace t (key : Cache.key) =
   let a = Covariance.build_tiled cov art.Cache.locs ~nb:key.Cache.nb in
   let job = Pool.new_job ?span t.pool in
   let guard =
-    if t.integrity then Some (Guard.create ~obs:t.obs ?bus:t.bus ~snapshots:true ())
+    if t.integrity then Some (Guard.create ~obs:t.obs ~snapshots:true ())
     else None
   in
   let report =
-    Mp_cholesky.factorize_robust ~pool:t.pool ~job ?bus:t.bus
+    Mp_cholesky.factorize_robust ~pool:t.pool ~job
       ?profile:(Option.map (fun c -> c.prof) trace)
       ?faults:t.faults ?retry:t.retry ?integrity:guard ~obs:t.obs
       ~cmap:art.Cache.cmap ~pmap:art.Cache.pmap a

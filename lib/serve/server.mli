@@ -52,8 +52,10 @@
     [serve.shed], [serve.brownout_trips] counters; [serve.inflight],
     [serve.queue_depth], [serve.queue_peak], [serve.brownout] gauges; a
     [serve.latency_s] histogram; and the cache's [serve.cache.*]
-    counters.  With [?bus], the request lifecycle is narrated on
-    component ["serve"].
+    counters.  The registry's event stream
+    ({!Geomix_obs.Metrics.events}) narrates the request lifecycle on
+    component ["serve"]; without [?obs] the server creates its own
+    registry, reachable through {!metrics}.
 
     {b Per-request tracing.}  With [trace_sample > 0], a sampled request
     gets a {!Geomix_obs.Span} that every instrumented layer below —
@@ -74,7 +76,6 @@ type t
 
 val create :
   ?obs:Geomix_obs.Metrics.t ->
-  ?bus:Geomix_obs.Events.t ->
   ?now:(unit -> float) ->
   ?max_inflight:int ->
   ?queue_capacity:int ->

@@ -102,6 +102,52 @@ let test_report_smoke_replays_makespan () =
   Alcotest.(check int) "report --smoke exits 0" 0 code;
   check_contains out "yes (bit-identical)"
 
+(* The --verbose narration of one small seeded serial chaos run, as a
+   multiset of "level component.name" taken from the stderr sink's lines
+   (timestamps and fields dropped).  Seed 1 injects transient, crash and
+   SDC faults and forces one pivot failure, so every producer speaks. *)
+let test_chaos_verbose_narration () =
+  let code, out =
+    run
+      [
+        "chaos"; "--verbose"; "--seed"; "1"; "--nt"; "4"; "--nb"; "8";
+        "--rate"; "0.3"; "--pivot-rate"; "0.3"; "--sdc"; "--workers"; "0";
+      ]
+  in
+  Alcotest.(check int) "chaos --verbose exits 0" 0 code;
+  let tag line =
+    if String.length line = 0 || line.[0] <> '[' then None
+    else
+      match String.index_opt line ']' with
+      | None -> None
+      | Some i -> (
+        let rest = String.sub line (i + 1) (String.length line - i - 1) in
+        match List.filter (( <> ) "") (String.split_on_char ' ' rest) with
+        | level :: name :: _ -> Some (level ^ " " ^ name)
+        | _ -> None)
+  in
+  let got = List.filter_map tag (String.split_on_char '\n' out) in
+  let counts =
+    List.map
+      (fun k -> (k, List.length (List.filter (( = ) k) got)))
+      (List.sort_uniq compare got)
+  in
+  Alcotest.(check (list (pair string int))) "narrated multiset"
+    [
+      ("debug cholesky.task_begin", 40);
+      ("debug cholesky.task_end", 40);
+      ("error pool.error", 1);
+      ("info cholesky.panel", 7);
+      ("info pool.create", 1);
+      ("warn cholesky.retry", 14);
+      ("warn fault.inject", 19);
+      ("warn fault.pivot", 1);
+      ("warn integrity.sdc_detected", 5);
+      ("warn integrity.sdc_recovered", 5);
+      ("warn recovery.escalate", 1);
+    ]
+    counts
+
 let () =
   Alcotest.run "cli"
     [
@@ -119,6 +165,8 @@ let () =
             test_chaos_clean_run_exits_zero;
           Alcotest.test_case "sdc detect-and-recover" `Quick
             test_chaos_sdc_contract;
+          Alcotest.test_case "verbose narration" `Quick
+            test_chaos_verbose_narration;
         ] );
       ( "report contract",
         [

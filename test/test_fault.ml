@@ -545,6 +545,70 @@ let test_cholesky_true_indefiniteness () =
   Alcotest.(check int) "recovery.indefinite" 1
     (counter_of (Metrics.snapshot reg) "recovery.indefinite")
 
+(* What a supervised, escalating factorization narrates, pinned as a
+   multiset: seeded transient and SDC injections, a forced pivot failure,
+   the guard's detections and repairs, the retries and the escalation. *)
+let test_cholesky_recovery_narration () =
+  let module E = Geomix_obs.Events in
+  let module Guard = Geomix_integrity.Guard in
+  let nt = 4 and nb = 8 in
+  let reg = Metrics.create () in
+  let ring = E.ring (Metrics.events reg) in
+  let faults =
+    Fault.plan ~obs:reg ~rate:0.3 ~kinds:[ Fault.Transient; Fault.Sdc ]
+      ~pivot_rate:0.3 ~sleep:ignore ~seed:1 ()
+  in
+  let guard = Guard.create ~obs:reg ~snapshots:true () in
+  let report =
+    Chol.factorize_robust ~faults ~retry:(Retry.immediate ~max_attempts:3 ())
+      ~obs:reg ~integrity:guard ~pmap:(Pm.two_level ~nt ~off_diag:Fp.Fp16_32)
+      (spd ~nt ~nb)
+  in
+  Alcotest.(check bool) "factorized" true (report.Chol.outcome = Chol.Factorized);
+  let field e k =
+    match List.assoc_opt k e.E.fields with
+    | Some (Geomix_obs.Jsonlite.Str s) -> s
+    | Some j -> Geomix_obs.Jsonlite.to_string ~indent:false j
+    | None -> "-"
+  in
+  let key e =
+    let detail =
+      match (e.E.component, e.E.name) with
+      | "fault", "inject" -> " " ^ field e "kind" ^ " " ^ field e "task"
+      | "fault", "pivot" | "cholesky", "retry" -> " " ^ field e "task"
+      | "integrity", _ -> " " ^ field e "task"
+      | "recovery", "escalate" -> " " ^ field e "scope" ^ " " ^ field e "block"
+      | _ -> ""
+    in
+    Printf.sprintf "%s %s.%s%s" (E.level_name e.E.level) e.E.component e.E.name detail
+  in
+  let pinned e =
+    List.mem e.E.component [ "fault"; "integrity"; "recovery" ]
+    || (e.E.component = "cholesky" && e.E.name = "retry")
+  in
+  let got =
+    List.sort compare (List.map key (List.filter pinned (E.ring_events ring)))
+  in
+  (* Round 1 fails at the forced pivot of POTRF(3); the band-escalated
+     round 2 redraws the same transient faults, but no SDC or pivot. *)
+  let tagged prefix = List.map (fun task -> prefix ^ " " ^ task) in
+  let retried =
+    [ "GEMM(2,1,0)"; "GEMM(3,2,0)"; "GEMM(3,2,1)"; "POTRF(1)"; "SYRK(3,1)";
+      "TRSM(2,1)"; "TRSM(3,1)" ]
+  in
+  let corrupted = [ "POTRF(3)"; "SYRK(2,1)"; "read(1,0)"; "read(3,0)"; "read(3,2)" ] in
+  let expected =
+    tagged "warn cholesky.retry" (retried @ retried)
+    @ tagged "warn fault.inject transient" (retried @ retried)
+    @ tagged "warn fault.inject sdc"
+        [ "SYRK(2,0)"; "SYRK(3,2)"; "TRSM(1,0)"; "TRSM(3,0)"; "TRSM(3,2)" ]
+    @ [ "warn fault.pivot POTRF(3)" ]
+    @ tagged "warn integrity.sdc_detected" corrupted
+    @ tagged "warn integrity.sdc_recovered" corrupted
+    @ [ "warn recovery.escalate band 3" ]
+  in
+  Alcotest.(check (list string)) "narrated multiset" (List.sort compare expected) got
+
 (* Likelihood: robust evaluation statuses *)
 
 let test_likelihood_robust_clean () =
@@ -702,6 +766,7 @@ let () =
           Alcotest.test_case "escalation reaches full map" `Quick
             test_cholesky_escalation_reaches_full_map;
           Alcotest.test_case "true indefiniteness" `Quick test_cholesky_true_indefiniteness;
+          Alcotest.test_case "recovery narration" `Quick test_cholesky_recovery_narration;
         ] );
       ( "likelihood robustness",
         [ Alcotest.test_case "clean status" `Quick test_likelihood_robust_clean ] );

@@ -420,19 +420,43 @@ module Tiled = Geomix_tile.Tiled
 module Pm = Geomix_core.Precision_map
 module Chol = Geomix_core.Mp_cholesky
 
+(* Levels are the sinks' business: a stream with no sink records nothing,
+   and the stderr sink drops what is below its level while a ring beside
+   it keeps everything. *)
 let test_bus_level_filtering () =
-  let bus = E.create ~level:E.Warn () in
+  let bus = E.create () in
+  Alcotest.(check bool) "no sink, nothing enabled" false (E.enabled bus E.Error);
+  E.emit ~level:E.Error bus ~component:"t" ~name:"unheard" [];
   let ring = E.ring bus in
-  Alcotest.(check bool) "debug disabled" false (E.enabled bus E.Debug);
-  Alcotest.(check bool) "warn enabled" true (E.enabled bus E.Warn);
-  E.emit ~level:E.Debug bus ~component:"t" ~name:"dropped" [];
-  E.emit bus ~component:"t" ~name:"dropped too" [] (* default Info *);
-  E.emit ~level:E.Warn bus ~component:"t" ~name:"kept" [];
-  E.emit ~level:E.Error bus ~component:"t" ~name:"kept" [];
-  let evs = E.ring_events ring in
-  Alcotest.(check int) "only warn+ recorded" 2 (List.length evs);
-  Alcotest.(check bool) "all named kept" true
-    (List.for_all (fun e -> e.E.name = "kept") evs)
+  Alcotest.(check bool) "a sink enables every level" true (E.enabled bus E.Debug);
+  let path = Filename.temp_file "geomix_stderr" ".log" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let saved = Unix.dup Unix.stderr in
+      let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+      flush stderr;
+      Unix.dup2 fd Unix.stderr;
+      Unix.close fd;
+      Fun.protect
+        ~finally:(fun () ->
+          flush stderr;
+          Unix.dup2 saved Unix.stderr;
+          Unix.close saved)
+        (fun () ->
+          E.attach_stderr ~min_level:E.Warn bus;
+          E.emit ~level:E.Debug bus ~component:"t" ~name:"dropped" [];
+          E.emit bus ~component:"t" ~name:"dropped too" [] (* default Info *);
+          E.emit ~level:E.Warn bus ~component:"t" ~name:"kept" [];
+          E.emit ~level:E.Error bus ~component:"t" ~name:"kept" []);
+      let lines = In_channel.with_open_bin path In_channel.input_all in
+      let lines = List.filter (( <> ) "") (String.split_on_char '\n' lines) in
+      Alcotest.(check int) "stderr holds warn+ only" 2 (List.length lines);
+      Alcotest.(check bool) "all named kept" true
+        (List.for_all (contains ~affix:"t.kept") lines));
+  Alcotest.(check (list int)) "the ring keeps every level, numbered from the first sink"
+    [ 0; 1; 2; 3 ]
+    (List.map (fun e -> e.E.seq) (E.ring_events ring))
 
 let test_bus_ring_capacity_and_order () =
   let bus = E.create () in
@@ -552,6 +576,83 @@ let test_bus_non_finite_payload () =
     Alcotest.(check bool) "round-trips as Null, still one event" true
       (back.E.fields = [ ("mean", J.Null); ("max", J.Null) ])
 
+(* Byte-mutation fuzzing of the JSONL reader: valid lines with flipped,
+   inserted or deleted bytes, or cut short, must decode to [Ok] or
+   [Error] without raising, and [read_jsonl] must account for every
+   non-blank line as either an intact event or a skipped one. *)
+type mutation = Flip of int * int | Insert of int * char | Delete of int | Truncate of int
+
+let gen_jsonl_mutated =
+  let open QCheck.Gen in
+  let text = string_size ~gen:(oneof [ printable; char ]) (int_range 0 8) in
+  let payload =
+    oneof
+      [
+        map E.fint (int_range (-1000) 1000);
+        map E.fnum (oneofl [ 0.; -1.5; 1e-300; 6.02e23; Float.nan; Float.infinity ]);
+        map E.fstr text;
+      ]
+  in
+  let event =
+    let* seq = int_range 0 100_000 in
+    let* time = float_range 0. 1e4 in
+    let* level = oneofl [ E.Debug; E.Info; E.Warn; E.Error ] in
+    let* component = text and* name = text in
+    let* fields = list_size (int_range 0 4) (pair text payload) in
+    return { E.seq; time; level; component; name; fields }
+  in
+  let mutation =
+    oneof
+      [
+        map2 (fun i m -> Flip (i, m)) nat (int_range 1 255);
+        map2 (fun i c -> Insert (i, c)) nat char;
+        map (fun i -> Delete i) nat;
+        map (fun i -> Truncate i) nat;
+      ]
+  in
+  pair (list_size (int_range 1 4) event) (list_size (int_range 1 4) mutation)
+
+let apply_mutation s m =
+  let n = String.length s in
+  if n = 0 then s
+  else
+    match m with
+    | Flip (i, mask) ->
+      let i = i mod n in
+      String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor mask) else c) s
+    | Insert (i, c) ->
+      let i = i mod (n + 1) in
+      String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+    | Delete i ->
+      let i = i mod n in
+      String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+    | Truncate i -> String.sub s 0 (i mod n)
+
+let prop_jsonl_mutations_are_typed =
+  QCheck.Test.make ~count:300 ~name:"mutated jsonl never raises"
+    (QCheck.make gen_jsonl_mutated) (fun (events, mutations) ->
+      let text =
+        List.fold_left apply_mutation
+          (String.concat "\n" (List.map E.to_jsonl events))
+          mutations
+      in
+      let lines = String.split_on_char '\n' text in
+      List.iter
+        (fun l -> match E.of_jsonl l with Ok _ | Error _ -> ())
+        lines;
+      let path = Filename.temp_file "geomix_fuzz" ".jsonl" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Out_channel.with_open_bin path (fun oc -> output_string oc text);
+          let intact, skipped =
+            In_channel.with_open_bin path (fun ic ->
+                let evs, skipped = E.read_jsonl ic in
+                (List.length evs, skipped))
+          in
+          intact + skipped
+          = List.length (List.filter (fun l -> String.trim l <> "") lines)))
+
 let test_bus_env_level () =
   let restore = Sys.getenv_opt "GEOMIX_LOG" in
   Fun.protect
@@ -572,11 +673,11 @@ let count_named evs component name =
     (List.filter (fun e -> e.E.component = component && e.E.name = name) evs)
 
 let test_pool_bus_events () =
-  let bus = E.create () in
-  let ring = E.ring bus in
-  (* The failing thunk is narrated on the bus and re-raised at join_job. *)
+  let obs = M.create () in
+  let ring = E.ring (M.events obs) in
+  (* The failing thunk is narrated on the stream and re-raised at join_job. *)
   (try
-     Pool.with_pool ~bus ~num_workers:2 (fun pool ->
+     Pool.with_pool ~obs ~num_workers:2 (fun pool ->
        let job = Pool.new_job pool in
        Pool.submit_job pool job (fun () -> ());
        Pool.submit_job pool job (fun () -> failwith "boom");
@@ -604,15 +705,15 @@ let test_bus_reconstructs_makespan () =
   (* The acceptance check behind `geomix report`, on the factorization it
      runs: task_end events carry the same floats the profile records, so the
      streamed log rebuilds the measured makespan bit-identically. *)
-  let bus = E.create () in
-  let ring = E.ring bus in
+  let obs = M.create () in
+  let ring = E.ring (M.events obs) in
   let profile = Geomix_obs.Profile.collector () in
   let nt = 4 and nb = 8 in
   let a =
     Tiled.init ~n:(nt * nb) ~nb (fun i j ->
       (if i = j then 1.0 else 0.) +. exp (-0.05 *. float_of_int (abs (i - j))))
   in
-  Chol.factorize ~profile ~bus ~pmap:(Pm.uniform ~nt Geomix_precision.Fpformat.Fp64) a;
+  Chol.factorize ~profile ~obs ~pmap:(Pm.uniform ~nt Geomix_precision.Fpformat.Fp64) a;
   let trace = Trace.of_measures (Geomix_obs.Profile.measures profile) in
   let streamed =
     List.fold_left
@@ -631,7 +732,7 @@ let test_bus_reconstructs_makespan () =
 let test_factorize_feeds_every_sink_once () =
   (* One measured factorization keeps one per-task record, and every
      per-task sink derives from it exactly once: profile measures, the
-     bus's begin/end pair and the task count of the span the job carries.
+     stream's begin/end pair and the task count of the span the job carries.
      That span also receives the RAW-edge transfers the registry counts. *)
   let module Profile = Geomix_obs.Profile in
   let module Span = Geomix_obs.Span in
@@ -644,17 +745,16 @@ let test_factorize_feeds_every_sink_once () =
   in
   List.iter
     (fun workers ->
-      let bus = E.create () in
-      let ring = E.ring ~capacity:4096 bus in
       let profile = Profile.collector () in
       let obs = M.create () in
+      let ring = E.ring ~capacity:4096 (M.events obs) in
       let span = Span.create ~request_id:"sinks" () in
       let a =
         Tiled.init ~n:(nt * nb) ~nb (fun i j ->
           (if i = j then 1.0 else 0.) +. exp (-0.05 *. float_of_int (abs (i - j))))
       in
       Pool.with_pool ~num_workers:workers (fun pool ->
-        Chol.factorize ~pool ~profile ~bus ~job:(Pool.new_job ~span pool) ~obs
+        Chol.factorize ~pool ~profile ~job:(Pool.new_job ~span pool) ~obs
           ~pmap:(Pm.two_level ~nt ~off_diag:Geomix_precision.Fpformat.Fp16_32)
           a);
       let measures = Profile.measures profile in
@@ -916,6 +1016,9 @@ let () =
             test_bus_read_jsonl_resilient;
           Alcotest.test_case "non-finite payload" `Quick
             test_bus_non_finite_payload;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 0xE7E7 |])
+            prop_jsonl_mutations_are_typed;
           Alcotest.test_case "GEOMIX_LOG parsing" `Quick test_bus_env_level;
           Alcotest.test_case "pool lifecycle events" `Quick test_pool_bus_events;
           Alcotest.test_case "log replay reconstructs makespan" `Quick

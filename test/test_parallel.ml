@@ -284,7 +284,7 @@ let test_job_skips_after_failure () =
     Alcotest.(check int) "skips counted" 2 (Pool.job_skipped job))
 
 (* A failed job's skipped thunks reach the [pool.cancelled] counter, and
-   the skips are narrated on the bus once for the job, not per thunk.  On
+   the skips are narrated on its event stream once for the job, not per thunk.  On
    two workers the failing thunk holds its worker until the other three
    are queued, while a thunk of another job holds the second worker, so
    nothing can start them before the failure is recorded. *)
@@ -292,11 +292,10 @@ let test_job_skips_counted () =
   List.iter
     (fun w ->
       let reg = Metrics.create () in
-      let bus = Geomix_obs.Events.create () in
-      let ring = Geomix_obs.Events.ring bus in
+      let ring = Geomix_obs.Events.ring (Metrics.events reg) in
       let ran = Atomic.make 0 in
       let job =
-        Pool.with_pool ~obs:reg ~bus ~num_workers:w (fun pool ->
+        Pool.with_pool ~obs:reg ~num_workers:w (fun pool ->
           let release = Atomic.make false and queued = Atomic.make false in
           let blocker = Pool.new_job pool in
           let blocked = Atomic.make (w = 0) in

@@ -1143,6 +1143,81 @@ let test_serve_metric_presence () =
         (counter_of snap "serve.cache.hits");
       ignore srv)
 
+(* {2 Narration}
+
+   What the request path narrates, pinned in order: a miss, a hit on the
+   same shape, a request that fails validation and one rejected at
+   admission, on a serial pool so the order is deterministic.  The
+   factorization's own per-task events are counted, not listed. *)
+
+module E = Geomix_obs.Events
+
+let test_serve_narration () =
+  let obs = Metrics.create () in
+  let ring = E.ring (Metrics.events obs) in
+  let pool = Pool.create ~num_workers:0 () in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      let srv =
+        Server.create ~obs ~max_inflight:1 ~queue_capacity:0 ~pool ()
+      in
+      let lik ?(s = spec ()) id =
+        ignore (Server.handle srv (request ~id (P.Likelihood s)))
+      in
+      lik "miss";
+      lik "hit";
+      lik ~s:(spec ~nb:64 ()) "bad";
+      Alcotest.(check bool) "slot taken" true (Server.admit srv ~rank:0 = `Admitted);
+      lik "full";
+      Server.release srv);
+  let evs = E.ring_events ring in
+  let is_task e =
+    e.E.component = "cholesky" && (e.E.name = "task_begin" || e.E.name = "task_end")
+  in
+  let tag e =
+    Printf.sprintf "%s %s.%s" (E.level_name e.E.level) e.E.component e.E.name
+  in
+  let field e k =
+    match List.assoc_opt k e.E.fields with
+    | Some (J.Str s) -> s
+    | Some j -> J.to_string ~indent:false j
+    | None -> "-"
+  in
+  let factorization = List.init 3 (fun _ -> "info cholesky.panel") in
+  Alcotest.(check (list string)) "ordered narration"
+    ([ "debug serve.request"; "debug serve.cache_miss" ]
+    @ factorization
+    @ [ "debug serve.done"; "debug serve.request"; "debug serve.cache_hit" ]
+    @ factorization
+    @ [
+        "debug serve.done";
+        "debug serve.request";
+        "warn serve.bad_request";
+        "debug serve.request";
+        "warn serve.rejected";
+      ])
+    (List.map tag (List.filter (fun e -> not (is_task e)) evs));
+  (* 3 tiles: 10 tasks per factorization, one begin/end pair each. *)
+  Alcotest.(check int) "task events" 40 (List.length (List.filter is_task evs));
+  let serve = List.filter (fun e -> e.E.component = "serve") evs in
+  let lookup e = e.E.name = "cache_miss" || e.E.name = "cache_hit" in
+  Alcotest.(check (list string)) "request ids"
+    [ "miss"; "miss"; "hit"; "hit"; "bad"; "bad"; "full"; "full" ]
+    (List.map (fun e -> field e "id") (List.filter (fun e -> not (lookup e)) serve));
+  (match List.map (fun e -> field e "key") (List.filter lookup serve) with
+  | [ missed; hit ] -> Alcotest.(check string) "hit names the missed shape" missed hit
+  | _ -> Alcotest.fail "expected two cache lookups");
+  List.iter
+    (fun e ->
+      match e.E.name with
+      | "request" -> Alcotest.(check string) "op" "likelihood" (field e "op")
+      | "bad_request" ->
+        Alcotest.(check string) "validation error" "nb must be in [1, n]"
+          (field e "error")
+      | _ -> ())
+    serve
+
 let () =
   Alcotest.run "serve"
     [
@@ -1229,5 +1304,6 @@ let () =
             test_footer_codec_roundtrip;
           Alcotest.test_case "serve metric presence" `Quick
             test_serve_metric_presence;
+          Alcotest.test_case "request narration" `Quick test_serve_narration;
         ] );
     ]
