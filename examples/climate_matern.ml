@@ -56,7 +56,8 @@ let () =
 
   (* Predict at the held-out sites with each fitted model. *)
   let evaluate label cov =
-    let p = Prediction.predict ~cov ~obs_locs ~z:z_obs ~new_locs in
+    let factor = Field.factor cov obs_locs in
+    let p = Prediction.predict ~cov ~factor ~obs_locs ~z:z_obs ~new_locs in
     let mse = Prediction.mse ~predicted:p.Prediction.mean ~truth:z_new in
     let mean_sd = Stats.mean (Array.map sqrt p.Prediction.variance) in
     Printf.printf "  %-28s prediction MSE %.4f; mean predictive sd %.4f\n" label mse mean_sd

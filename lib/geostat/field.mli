@@ -19,10 +19,16 @@ val factor : Covariance.t -> Locations.t -> Geomix_tile.Tiled.t
     index if Σ(θ) is numerically indefinite (increase the nugget or reduce
     the correlation). *)
 
+val draw : Geomix_util.Rng.t -> Geomix_tile.Tiled.t -> float array
+(** One realisation [z = L·e] from a factor built by {!factor}, summed
+    column by column as a dense lower-triangular product would.  A caller
+    that also needs the factor for something else (kriging, a solve)
+    builds it once and draws from it. *)
+
 val synthesize :
   rng:Geomix_util.Rng.t -> cov:Covariance.t -> Locations.t -> float array
-(** One realisation of the zero-mean field at the given sites; [z = L·e]
-    is summed column by column, as a dense lower-triangular product would.
+(** [draw rng (factor cov locs)]: one realisation of the zero-mean field at
+    the given sites.
     @raise Geomix_linalg.Blas.Not_positive_definite as {!factor}. *)
 
 val synthesize_many :

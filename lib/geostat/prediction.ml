@@ -11,11 +11,10 @@ let cross_distance a i b j =
   done;
   sqrt !acc
 
-let predict ~cov ~obs_locs ~z ~new_locs =
+let predict ~cov ~factor:l ~obs_locs ~z ~new_locs =
   assert (Locations.dim obs_locs = Locations.dim new_locs);
   let n = Locations.count obs_locs and m = Locations.count new_locs in
-  assert (Array.length z = n);
-  let l = Field.factor cov obs_locs in
+  assert (Array.length z = n && Geomix_tile.Tiled.n l = n);
   (* α = Σ⁻¹z through the factor. *)
   let alpha = Mp_cholesky.solve_lower_trans l (Mp_cholesky.solve_lower l z) in
   let mean = Array.make m 0. and variance = Array.make m 0. in

@@ -13,16 +13,17 @@ type t = {
 
 val predict :
   cov:Covariance.t ->
+  factor:Geomix_tile.Tiled.t ->
   obs_locs:Locations.t ->
   z:float array ->
   new_locs:Locations.t ->
   t
 (** Exact FP64 kriging from observed measurements to the new sites (both
-    location sets must share the dimension), through {!Field.factor} and
-    the tile triangular solves.  Up to one 64-wide tile the results are
-    bitwise a dense Cholesky's; beyond it the solves sum one tile at a
-    time, which moves them by a few units of roundoff.
-    @raise Geomix_linalg.Blas.Not_positive_definite as {!Field.factor}. *)
+    location sets must share the dimension), through the tile triangular
+    solves against [factor] — {!Field.factor}[ cov obs_locs], which the
+    caller builds (and may also {!Field.draw} from).  Up to one 64-wide
+    tile the results are bitwise a dense Cholesky's; beyond it the solves
+    sum one tile at a time, which moves them by a few units of roundoff. *)
 
 val mse : predicted:float array -> truth:float array -> float
 (** Mean squared prediction error against held-out truth. *)

@@ -10,8 +10,8 @@
     as an array.  A measure is the one per-task record of a measured run:
     [Mp_cholesky.factorize ?profile] records it from the executor's task
     hook, {!Geomix_runtime.Trace.of_measures} derives the Chrome-JSON and
-    Gantt view from it, and [Cholesky_dag]/[Dtd] both expose the graph
-    shape {!analyze} needs. *)
+    Gantt view from it, and [Cholesky_dag]/[Geomix_verify.Dtd] both expose
+    the graph shape {!analyze} needs. *)
 
 type measure = {
   id : int;  (** task id in the executed DAG *)

@@ -26,7 +26,7 @@ val kind_of : t -> int -> Task.kind
 
 val in_degree : t -> int array
 (** Freshly allocated in-degree array (consumable by
-    {!Geomix_parallel.Dag_exec.run}). *)
+    [Geomix_parallel.Dag_exec.run]). *)
 
 val successors : t -> int -> int list
 

@@ -35,6 +35,7 @@ type artifact = {
   pmap : Geomix_core.Precision_map.t;
   cmap : Geomix_core.Comm_map.t;
   dag : Geomix_runtime.Cholesky_dag.t;
+  preds : int list array;
 }
 
 (* A [Building] entry is the single-flight marker: the first requester of a

@@ -1,10 +1,11 @@
 (** Shape-keyed memo cache of the expensive per-problem artifacts.
 
     The costly pre-work of a request — sites, the Higham–Mary precision
-    map, Algorithm 2's communication map and the static Cholesky DAG — is
-    a pure function of the problem {e shape} (everything in
-    {!Protocol.spec} except [data_seed]), so the server memoizes it:
-    requests that differ only in their measurement seed share one build.
+    map, Algorithm 2's communication map and the static Cholesky DAG with
+    its predecessor lists — is a pure function of the problem {e shape}
+    (everything in {!Protocol.spec} except [data_seed]), so the server
+    memoizes it: requests that differ only in their measurement seed share
+    one build.
 
     {b Single-flight.}  Concurrent misses on one key build {e once}: the
     first requester installs a building marker and constructs outside the
@@ -51,6 +52,9 @@ type artifact = {
   pmap : Geomix_core.Precision_map.t;   (** norm-rule kernel precisions *)
   cmap : Geomix_core.Comm_map.t;        (** Algorithm 2's transfer map *)
   dag : Geomix_runtime.Cholesky_dag.t;  (** static task graph, [nt × nt] *)
+  preds : int list array;
+      (** [dag]'s predecessor lists, inverted once per shape for the
+          traced footer's critical-path analysis *)
 }
 
 type stats = { hits : int; misses : int; evictions : int }

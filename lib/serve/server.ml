@@ -289,7 +289,7 @@ let sites ~n ~seed =
     (Locations.jittered_grid_2d ~rng:(Rng.create ~seed) ~n)
 
 (* The memoized pre-work: a pure function of the shape key.  A miss costs
-   one covariance assembly and three O(NT²)–O(NT³) constructions. *)
+   one covariance assembly and four O(NT²)–O(NT³) constructions. *)
 let build_artifact (key : Cache.key) : Cache.artifact =
   let cov = cov_of key in
   let locs = sites ~n:key.Cache.n ~seed:key.Cache.locs_seed in
@@ -297,7 +297,11 @@ let build_artifact (key : Cache.key) : Cache.artifact =
   let pmap = Precision_map.of_tiled ~u_req:key.Cache.u_req a in
   let cmap = Comm_map.compute pmap in
   let dag = Cholesky_dag.create ~nt:(Tiled.nt a) in
-  { Cache.locs; pmap; cmap; dag }
+  let preds =
+    Dag_exec.predecessors ~num_tasks:(Cholesky_dag.num_tasks dag)
+      ~successors:(Cholesky_dag.successors dag)
+  in
+  { Cache.locs; pmap; cmap; dag; preds }
 
 (* The tile-count bound: the DAG and its executor allocate per task, and a
    Cholesky of NT tiles has ~NT³/6 tasks (357 760 at NT = 128), so the order
@@ -362,7 +366,7 @@ type factorized = {
 type trace_ctx = {
   span : Span.t;
   prof : Profile.collector;
-  mutable dag : Cholesky_dag.t option;  (* set once a factorization ran *)
+  mutable art : Cache.artifact option;  (* set once a factorization ran *)
   mutable t_nb : int;
   mutable sdc_detected : int;
   mutable sdc_recovered : int;
@@ -381,7 +385,7 @@ let make_trace t (req : P.request) =
       {
         span = Span.create ~request_id:req.P.id ();
         prof = Profile.collector ();
-        dag = None;
+        art = None;
         t_nb = 0;
         sdc_detected = 0;
         sdc_recovered = 0;
@@ -431,7 +435,7 @@ let factorized_problem ?trace t (key : Cache.key) =
   (match trace with
   | None -> ()
   | Some c ->
-    c.dag <- Some art.Cache.dag;
+    c.art <- Some art;
     c.t_nb <- key.Cache.nb;
     (match guard with
     | Some g ->
@@ -514,12 +518,11 @@ let run_predict ?trace t (spec : P.spec) ~n_new ~pred_seed =
   let span = Option.map (fun c -> c.span) trace in
   let art, hit = Cache.find_or_build ?span t.cache key ~build:build_artifact in
   let cov = cov_of key in
-  let z =
-    Field.synthesize ~rng:(Rng.create ~seed:spec.P.data_seed) ~cov
-      art.Cache.locs
-  in
+  (* One FP64 factor of Σ serves both the draw and the kriging solves. *)
+  let factor = Field.factor cov art.Cache.locs in
+  let z = Field.draw (Rng.create ~seed:spec.P.data_seed) factor in
   let new_locs = Locations.uniform_2d ~rng:(Rng.create ~seed:pred_seed) ~n:n_new in
-  let p = Prediction.predict ~cov ~obs_locs:art.Cache.locs ~z ~new_locs in
+  let p = Prediction.predict ~cov ~factor ~obs_locs:art.Cache.locs ~z ~new_locs in
   P.Predict_r
     { mean = p.Prediction.mean; variance = p.Prediction.variance; cache_hit = hit }
 
@@ -646,14 +649,9 @@ let stats_body t = function
    per-request guard, and the carried reply's status/cache facts. *)
 let footer_of t c ~wall reply =
   let cp_s, energy_j =
-    match (c.dag, Profile.measures c.prof) with
-    | Some dag, (_ :: _ as ms) ->
-      let preds =
-        Dag_exec.predecessors
-          ~num_tasks:(Cholesky_dag.num_tasks dag)
-          ~successors:(Cholesky_dag.successors dag)
-      in
-      let prof = Profile.analyze ~preds ms in
+    match (c.art, Profile.measures c.prof) with
+    | Some art, (_ :: _ as ms) ->
+      let prof = Profile.analyze ~preds:art.Cache.preds ms in
       let busy =
         List.filter_map
           (fun (b : Profile.bucket) ->
@@ -661,7 +659,7 @@ let footer_of t c ~wall reply =
               (Fpformat.of_string b.Profile.key))
           prof.Profile.by_precision
       in
-      let flops = Flops.cholesky_tiled ~nt:(Cholesky_dag.nt dag) ~nb:c.t_nb in
+      let flops = Flops.cholesky_tiled ~nt:(Cholesky_dag.nt art.Cache.dag) ~nb:c.t_nb in
       let e =
         Energy.of_busy Gpu_specs.a100 ~makespan:prof.Profile.makespan
           ~ngpus:(max 1 (Pool.num_workers t.pool))

@@ -11,7 +11,6 @@
    from the printed seed — no thread scheduler involved. *)
 
 module Rng = Geomix_util.Rng
-module Dtd = Geomix_runtime.Dtd
 
 type graph = {
   num_tasks : int;

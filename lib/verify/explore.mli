@@ -20,7 +20,7 @@ val graph :
   num_tasks:int -> in_degree:int array -> successors:(int -> int list) -> graph
 (** @raise Invalid_argument on an in-degree length mismatch. *)
 
-val of_dtd : Geomix_runtime.Dtd.t -> graph
+val of_dtd : Dtd.t -> graph
 (** The derived DAG of a DTD program, in the executor's graph shape. *)
 
 val predecessors : graph -> int list array

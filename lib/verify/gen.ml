@@ -12,7 +12,6 @@ module Fp = Geomix_precision.Fpformat
 module Pm = Geomix_core.Precision_map
 module Mat = Geomix_linalg.Mat
 module Check = Geomix_linalg.Check
-module Dtd = Geomix_runtime.Dtd
 module Trace = Geomix_runtime.Trace
 
 (* --- random task DAGs ----------------------------------------------- *)

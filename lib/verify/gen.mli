@@ -24,7 +24,7 @@ type program_spec = { ops : int; keys : int; pseed : int }
 
 val program_of_spec : program_spec -> op list
 
-val dtd_of_program : ?body:(int -> unit) -> op list -> Geomix_runtime.Dtd.t
+val dtd_of_program : ?body:(int -> unit) -> op list -> Dtd.t
 (** Insert the program into a fresh DTD graph; [body] (given the op index)
     becomes the task body, so the same program can be replayed
     numerically. *)

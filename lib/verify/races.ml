@@ -11,7 +11,6 @@
    interleaving the pool is allowed to produce that breaks sequential
    semantics. *)
 
-module Dtd = Geomix_runtime.Dtd
 
 type kind = Raw | War | Waw
 

@@ -32,7 +32,7 @@ val check :
     (first, second).  An empty list means the DAG covers the full
     must-happen-before relation of the footprints. *)
 
-val check_dtd : ?drop:int * int -> Geomix_runtime.Dtd.t -> race list
+val check_dtd : ?drop:int * int -> Dtd.t -> race list
 (** Race-check a DTD graph against its own declared footprints.
     [drop:(src, dst)] removes one derived edge first — the standard way to
     seed a bug and assert the checker catches it. *)

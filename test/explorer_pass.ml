@@ -5,47 +5,10 @@
    interleaving with [Explore.random_schedule ~seed]) and exits nonzero. *)
 
 module Explore = Geomix_verify.Explore
-module Dtd = Geomix_runtime.Dtd
+module Dtd = Geomix_verify.Dtd
 module Mat = Geomix_linalg.Mat
-module Blas = Geomix_linalg.Blas
 module Check = Geomix_linalg.Check
 module Tiled = Geomix_tile.Tiled
-
-let build_cholesky_dtd a =
-  let nt = Tiled.nt a in
-  let g = Dtd.create () in
-  let key i j = (i * nt) + j in
-  for k = 0 to nt - 1 do
-    ignore
-      (Dtd.insert g ~name:(Printf.sprintf "POTRF(%d)" k) ~reads:[] ~writes:[ key k k ]
-         (fun () -> Blas.potrf_lower (Tiled.tile a k k)));
-    for m = k + 1 to nt - 1 do
-      ignore
-        (Dtd.insert g
-           ~name:(Printf.sprintf "TRSM(%d,%d)" m k)
-           ~reads:[ key k k ] ~writes:[ key m k ]
-           (fun () -> Blas.trsm_right_lower_trans ~l:(Tiled.tile a k k) (Tiled.tile a m k)))
-    done;
-    for m = k + 1 to nt - 1 do
-      ignore
-        (Dtd.insert g
-           ~name:(Printf.sprintf "SYRK(%d,%d)" m k)
-           ~reads:[ key m k ] ~writes:[ key m m ]
-           (fun () ->
-             Blas.syrk_lower ~alpha:(-1.) (Tiled.tile a m k) ~beta:1. (Tiled.tile a m m)));
-      for n = k + 1 to m - 1 do
-        ignore
-          (Dtd.insert g
-             ~name:(Printf.sprintf "GEMM(%d,%d,%d)" m n k)
-             ~reads:[ key m k; key n k ]
-             ~writes:[ key m n ]
-             (fun () ->
-               Blas.gemm_nt ~alpha:(-1.) (Tiled.tile a m k) (Tiled.tile a n k) ~beta:1.
-                 (Tiled.tile a m n)))
-      done
-    done
-  done;
-  g
 
 let () =
   let n = 64 and nb = 16 and seeds = 10 in
@@ -56,7 +19,7 @@ let () =
   let failures = ref 0 in
   for seed = 0 to seeds - 1 do
     let a = Tiled.of_dense ~nb dense in
-    let g = build_cholesky_dtd a in
+    let g = Dtd.cholesky ~nt:(Tiled.nt a) (Dtd.tile_kernel a) in
     ignore (Explore.run_random (Explore.of_dtd g) ~seed ~execute:(Dtd.execute_task g));
     Tiled.iter_lower a (fun ~i ~j tile -> if i = j then Mat.zero_upper tile);
     let l = Tiled.to_dense a in

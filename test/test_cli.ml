@@ -9,10 +9,11 @@ let geomix =
   List.find Sys.file_exists
     [ "../bin/geomix.exe"; "_build/default/bin/geomix.exe" ]
 
-(* Run the binary, capturing stdout+stderr; returns (exit code, output). *)
-let run args =
+(* Run the binary, capturing stdout+stderr; returns (exit code, output).
+   [env] is a shell prefix of variable assignments, e.g. "TMPDIR=/tmp". *)
+let run ?(env = "") args =
   let cmd =
-    Printf.sprintf "%s %s 2>&1" (Filename.quote geomix)
+    Printf.sprintf "%s %s %s 2>&1" env (Filename.quote geomix)
       (String.concat " " (List.map Filename.quote args))
   in
   let ic = Unix.open_process_in cmd in
@@ -148,6 +149,102 @@ let test_chaos_verbose_narration () =
     ]
     counts
 
+(* The help surface, pinned by the MD5 of every --help=plain page (the
+   top level and each subcommand).  TMPDIR is fixed because ooc's --dir
+   default is printed from it. *)
+let help_digests =
+  [
+    ([], "13302eec6c087d39707f4c8697650a77");
+    ([ "precision-map" ], "0a2b68af27652bf417d287e3a8bbea60");
+    ([ "simulate" ], "fcb3c7c2e19b078265bc22079b1889f0");
+    ([ "stats" ], "d36ab0c0fa582aba9fb86d0a914f3350");
+    ([ "mle" ], "83a1d50a08d51f0679953b4a1bc07c95");
+    ([ "gemm" ], "612c651e746d94120924d5b40cd103d7");
+    ([ "chaos" ], "ad62683ef19348902653c621153a736b");
+    ([ "ooc" ], "3908749d1b446646f8ebc16c8fac423a");
+    ([ "report" ], "4620f3945557c187e002c330d975b1a1");
+    ([ "autotune" ], "80d96f49c2165d2a046dd344d084a41e");
+    ([ "serve" ], "8b3f5d4906cbfc90b49de515c7ca251c");
+    ([ "top" ], "1591f21d5e122a604ca7bbdf10bebd56");
+  ]
+
+(* The output of small deterministic runs that touch no pool or clock. *)
+let output_digests =
+  [
+    ([ "precision-map"; "--order"; "256"; "--nb"; "32"; "--render" ],
+     "676c30c9f922a9f7d1c66217f9cc0936");
+    ([ "precision-map"; "--order"; "256"; "--nb"; "32"; "--family"; "matern";
+       "--nu"; "1.5"; "--u-req"; "1e-4" ],
+     "a5fc93155411ba39f631b5105290f04a");
+    ([ "simulate"; "--nt"; "8"; "--nb"; "1024"; "--config"; "fp64-fp16-32";
+       "--machine"; "a100"; "--gantt" ],
+     "eb9736e1d45b56f48ac57fda6d75768b");
+    ([ "simulate"; "--nt"; "12"; "--nb"; "2048"; "--machine"; "summit";
+       "--nodes"; "2"; "--strategy"; "ttc"; "--config"; "fp64-fp16" ],
+     "d6d4ee7bc2d9608c2325c7e7cfc62398");
+    ([ "gemm"; "--size"; "32"; "--prec"; "fp16" ], "c05d96ecbe00f22fc91b63405bff59f1");
+    ([ "gemm"; "--size"; "16"; "--prec"; "bf16_32"; "--seed"; "3" ],
+     "3a7cbedb863799af89a0d37e9b490038");
+    ([ "stats"; "--nt"; "6"; "--nb"; "256" ], "468b1d770c6934d6113342dc3f0549de");
+    ([ "stats"; "--nt"; "10"; "--config"; "fp64-fp16" ],
+     "cea15d928450e6d6f0c891e2f31de8c6");
+  ]
+
+let check_digest ?env args expected =
+  let code, out = run ?env args in
+  let line = String.concat " " ("geomix" :: args) in
+  Alcotest.(check int) (line ^ " exits 0") 0 code;
+  Alcotest.(check string)
+    (Printf.sprintf "MD5 of `%s` output:\n%s" line out)
+    expected
+    (Digest.to_hex (Digest.string out))
+
+let test_help_digests () =
+  List.iter
+    (fun (cmd, md5) -> check_digest ~env:"TMPDIR=/tmp" (cmd @ [ "--help=plain" ]) md5)
+    help_digests
+
+let test_output_digests () =
+  List.iter (fun (args, md5) -> check_digest args md5) output_digests
+
+(* Out-of-range numbers are usage errors: cmdliner's exit 124 before the
+   subcommand allocates, never an assertion failure or a NaN report. *)
+let invalid_invocations =
+  [
+    [ "chaos"; "--nt"; "0" ];
+    [ "chaos"; "--nb"; "0" ];
+    [ "ooc"; "--nb"; "0" ];
+    [ "ooc"; "--checkpoint-every"; "0" ];
+    [ "simulate"; "--nt"; "0" ];
+    [ "mle"; "--sites"; "0" ];
+    [ "stats"; "--nt"; "0" ];
+    [ "stats"; "--nb"; "0" ];
+    [ "report"; "--nt"; "0" ];
+    [ "chaos"; "--rate"; "2.0" ];
+    [ "gemm"; "--size"; "0" ];
+    [ "chaos"; "--attempts"; "0" ];
+    [ "serve"; "--chaos-seed"; "1"; "--chaos-rate"; "2.0" ];
+    [ "serve"; "--chaos-seed"; "1"; "--chaos-pivot-rate=-1" ];
+  ]
+
+let test_invalid_values_are_usage_errors () =
+  List.iter
+    (fun args ->
+      let line = String.concat " " ("geomix" :: args) in
+      (* Paths that cannot be created, and a serial pool: should a value
+         slip through, the run fails fast instead of writing or serving. *)
+      let extra =
+        match List.hd args with
+        | "ooc" -> [ "--dir"; "/nonexistent/geomix-ooc" ]
+        | "serve" -> [ "--socket"; "/nonexistent/geomix.sock"; "--workers"; "0" ]
+        | _ -> []
+      in
+      let code, out = run (args @ extra) in
+      Alcotest.(check int) (line ^ " exits 124") 124 code;
+      Alcotest.(check bool) (line ^ ": no fatal error") false (contains ~affix:"Fatal error" out);
+      Alcotest.(check bool) (line ^ ": no nan") false (contains ~affix:"nan" out))
+    invalid_invocations
+
 let () =
   Alcotest.run "cli"
     [
@@ -167,6 +264,13 @@ let () =
             test_chaos_sdc_contract;
           Alcotest.test_case "verbose narration" `Quick
             test_chaos_verbose_narration;
+        ] );
+      ( "surface pins",
+        [
+          Alcotest.test_case "help digests" `Quick test_help_digests;
+          Alcotest.test_case "output digests" `Quick test_output_digests;
+          Alcotest.test_case "invalid values are usage errors" `Quick
+            test_invalid_values_are_usage_errors;
         ] );
       ( "report contract",
         [

@@ -1,10 +1,9 @@
-module Dtd = Geomix_runtime.Dtd
+module Dtd = Geomix_verify.Dtd
 module Task = Geomix_runtime.Task
 module Cholesky_dag = Geomix_runtime.Cholesky_dag
 module Dag_exec = Geomix_parallel.Dag_exec
 module Pool = Geomix_parallel.Pool
 module Mat = Geomix_linalg.Mat
-module Blas = Geomix_linalg.Blas
 module Check = Geomix_linalg.Check
 module Tiled = Geomix_tile.Tiled
 module Rng = Geomix_util.Rng
@@ -112,42 +111,7 @@ let test_in_degree_consistency () =
 (* The decisive test: express Algorithm 1 through DTD insertion (the
    paper's "sequential task insertion in nested loops") and check that the
    numeric result matches the PTG-style Cholesky_dag execution exactly. *)
-let build_cholesky_dtd a =
-  let ntiles = Tiled.nt a in
-  let g = Dtd.create () in
-  let key i j = (i * ntiles) + j in
-  for k = 0 to ntiles - 1 do
-    ignore
-      (Dtd.insert g ~name:(Printf.sprintf "POTRF(%d)" k) ~reads:[]
-         ~writes:[ key k k ]
-         (fun () -> Blas.potrf_lower (Tiled.tile a k k)));
-    for m = k + 1 to ntiles - 1 do
-      ignore
-        (Dtd.insert g
-           ~name:(Printf.sprintf "TRSM(%d,%d)" m k)
-           ~reads:[ key k k ] ~writes:[ key m k ]
-           (fun () -> Blas.trsm_right_lower_trans ~l:(Tiled.tile a k k) (Tiled.tile a m k)))
-    done;
-    for m = k + 1 to ntiles - 1 do
-      ignore
-        (Dtd.insert g
-           ~name:(Printf.sprintf "SYRK(%d,%d)" m k)
-           ~reads:[ key m k ] ~writes:[ key m m ]
-           (fun () ->
-             Blas.syrk_lower ~alpha:(-1.) (Tiled.tile a m k) ~beta:1. (Tiled.tile a m m)));
-      for nn = k + 1 to m - 1 do
-        ignore
-          (Dtd.insert g
-             ~name:(Printf.sprintf "GEMM(%d,%d,%d)" m nn k)
-             ~reads:[ key m k; key nn k ]
-             ~writes:[ key m nn ]
-             (fun () ->
-               Blas.gemm_nt ~alpha:(-1.) (Tiled.tile a m k) (Tiled.tile a nn k) ~beta:1.
-                 (Tiled.tile a m nn)))
-      done
-    done
-  done;
-  g
+let build_cholesky_dtd a = Dtd.cholesky ~nt:(Tiled.nt a) (Dtd.tile_kernel a)
 
 let test_cholesky_via_dtd () =
   let n = 96 and nb = 24 in

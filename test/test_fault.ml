@@ -9,7 +9,7 @@ module Retry = Geomix_fault.Retry
 module Metrics = Geomix_obs.Metrics
 module Pool = Geomix_parallel.Pool
 module Dag_exec = Geomix_parallel.Dag_exec
-module Dtd = Geomix_runtime.Dtd
+module Dtd = Geomix_verify.Dtd
 module Task = Geomix_runtime.Task
 module Cholesky_dag = Geomix_runtime.Cholesky_dag
 module Mat = Geomix_linalg.Mat
@@ -635,41 +635,7 @@ let test_likelihood_robust_clean () =
    interleavings of the ready set (the Explore virtual executor stands in
    for the OS scheduler). *)
 
-let build_cholesky_dtd a =
-  let nt = Tiled.nt a in
-  let g = Dtd.create () in
-  let key i j = (i * nt) + j in
-  for k = 0 to nt - 1 do
-    ignore
-      (Dtd.insert g ~name:(Printf.sprintf "POTRF(%d)" k) ~reads:[] ~writes:[ key k k ]
-         (fun () -> Blas.potrf_lower (Tiled.tile a k k)));
-    for m = k + 1 to nt - 1 do
-      ignore
-        (Dtd.insert g
-           ~name:(Printf.sprintf "TRSM(%d,%d)" m k)
-           ~reads:[ key k k ] ~writes:[ key m k ]
-           (fun () -> Blas.trsm_right_lower_trans ~l:(Tiled.tile a k k) (Tiled.tile a m k)))
-    done;
-    for m = k + 1 to nt - 1 do
-      ignore
-        (Dtd.insert g
-           ~name:(Printf.sprintf "SYRK(%d,%d)" m k)
-           ~reads:[ key m k ] ~writes:[ key m m ]
-           (fun () ->
-             Blas.syrk_lower ~alpha:(-1.) (Tiled.tile a m k) ~beta:1. (Tiled.tile a m m)));
-      for n = k + 1 to m - 1 do
-        ignore
-          (Dtd.insert g
-             ~name:(Printf.sprintf "GEMM(%d,%d,%d)" m n k)
-             ~reads:[ key m k; key n k ]
-             ~writes:[ key m n ]
-             (fun () ->
-               Blas.gemm_nt ~alpha:(-1.) (Tiled.tile a m k) (Tiled.tile a n k) ~beta:1.
-                 (Tiled.tile a m n)))
-      done
-    done
-  done;
-  g
+let build_cholesky_dtd a = Dtd.cholesky ~nt:(Tiled.nt a) (Dtd.tile_kernel a)
 
 let prop_faulted_replay_bitwise_identical =
   QCheck.Test.make

@@ -448,8 +448,9 @@ let test_prediction_interpolates () =
   let r = rng () in
   let locs = Locations.jittered_grid_2d ~rng:r ~n:100 in
   let cov = Covariance.sqexp ~sigma2:1. ~beta:0.5 () in
-  let z = Field.synthesize ~rng:r ~cov locs in
-  let p = Prediction.predict ~cov ~obs_locs:locs ~z ~new_locs:locs in
+  let factor = Field.factor cov locs in
+  let z = Field.draw r factor in
+  let p = Prediction.predict ~cov ~factor ~obs_locs:locs ~z ~new_locs:locs in
   let err = Prediction.mse ~predicted:p.Prediction.mean ~truth:z in
   Alcotest.(check bool) (Printf.sprintf "mse %g tiny" err) true (err < 1e-4);
   Array.iter
@@ -464,7 +465,7 @@ let test_prediction_variance_grows_far_away () =
   (* A site far outside the unit square is unpredictable: σ*² → σ². *)
   let far = Locations.uniform_2d ~rng:r ~n:1 in
   (* shift it out of the domain by predicting with scaled coords *)
-  let p = Prediction.predict ~cov ~obs_locs:locs ~z ~new_locs:far in
+  let p = Prediction.predict ~cov ~factor:(Field.factor cov locs) ~obs_locs:locs ~z ~new_locs:far in
   Alcotest.(check bool) "variance below prior" true (p.Prediction.variance.(0) <= 1. +. 1e-6)
 
 (* The FP64 factor pin: [Field], [Likelihood.Exact] and [Prediction]
@@ -557,7 +558,7 @@ let test_fp64_factor_pin n () =
       check_bits (what "log_det") (Blas.log_det_from_chol l) e.Likelihood.log_det;
       let q = sum_squares (Blas.trsv_lower ~l z) in
       check_pinned ~exact (what "quad_form") ~scale:q q e.Likelihood.quad_form;
-      let p = Prediction.predict ~cov ~obs_locs:locs ~z ~new_locs in
+      let p = Prediction.predict ~cov ~factor:(Field.factor cov locs) ~obs_locs:locs ~z ~new_locs in
       let c0 = Covariance.eval cov 0. +. cov.Covariance.nugget in
       Array.iteri
         (fun j (mean, scale, variance) ->

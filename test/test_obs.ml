@@ -8,7 +8,7 @@ module M = Geomix_obs.Metrics
 module J = Geomix_obs.Jsonlite
 module B = Geomix_obs.Bench_json
 module Pool = Geomix_parallel.Pool
-module Dtd = Geomix_runtime.Dtd
+module Dtd = Geomix_verify.Dtd
 module Gen = Geomix_verify.Gen
 module Explore = Geomix_verify.Explore
 

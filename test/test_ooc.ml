@@ -14,7 +14,7 @@ module Store = Geomix_ooc.Store
 module Pm = Geomix_core.Precision_map
 module Mp = Geomix_core.Mp_cholesky
 module Ooc = Geomix_core.Ooc_cholesky
-module Dtd = Geomix_runtime.Dtd
+module Dtd = Geomix_verify.Dtd
 module Explore = Geomix_verify.Explore
 module Rng = Geomix_util.Rng
 
@@ -532,40 +532,35 @@ let test_ooc_resume_after_stored_rot_restarts () =
 
 let test_explorer_replay_store_consistent () =
   let reference = ref None in
+  (* A small superscalar program over 3 data; [body k] runs each task
+     that writes datum k. *)
+  let program body =
+    let g = Dtd.create () in
+    for r = 0 to 3 do
+      for k = 0 to 2 do
+        ignore
+          (Dtd.insert g
+             ~name:(Printf.sprintf "t%d_%d" r k)
+             ~reads:[ (k + 1) mod 3 ] ~writes:[ k ]
+             (fun () -> body k))
+      done
+    done;
+    g
+  in
   Explore.for_each_seed ~seeds:6
-    (let g = Dtd.create () in
-     (* a small superscalar program over 3 data *)
-     for r = 0 to 3 do
-       for k = 0 to 2 do
-         ignore
-           (Dtd.insert g
-              ~name:(Printf.sprintf "t%d_%d" r k)
-              ~reads:[ (k + 1) mod 3 ] ~writes:[ k ]
-              (fun () -> ()))
-       done
-     done;
-     Explore.of_dtd g)
+    (Explore.of_dtd (program ignore))
     (fun ~seed order ->
       with_dir (fun dir ->
         let st = Store.create ~budget:64 ~dir () in
         for k = 0 to 2 do
           Store.put st k (const_mat 2 2 (float_of_int k))
         done;
-        let g = Dtd.create () in
-        let bump = Array.make 3 0 in
-        for r = 0 to 3 do
-          for k = 0 to 2 do
-            ignore
-              (Dtd.insert g
-                 ~name:(Printf.sprintf "t%d_%d" r k)
-                 ~reads:[ (k + 1) mod 3 ] ~writes:[ k ]
-                 (fun () ->
-                   let m = Store.acquire st k in
-                   Mat.set m 0 0 (Mat.get m 0 0 +. 1.);
-                   bump.(k) <- bump.(k) + 1;
-                   Store.release st ~dirty:true k))
-          done
-        done;
+        let g =
+          program (fun k ->
+              let m = Store.acquire st k in
+              Mat.set m 0 0 (Mat.get m 0 0 +. 1.);
+              Store.release st ~dirty:true k)
+        in
         Explore.run_schedule (Explore.of_dtd g) ~order ~execute:(fun id ->
             Dtd.execute_task g id);
         Store.checkpoint st ~epoch:1 ();

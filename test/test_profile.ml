@@ -5,7 +5,7 @@
    executor's seeded replays of generated DTD programs. *)
 
 module P = Geomix_obs.Profile
-module Dtd = Geomix_runtime.Dtd
+module Dtd = Geomix_verify.Dtd
 module Gen = Geomix_verify.Gen
 module Explore = Geomix_verify.Explore
 

@@ -464,7 +464,33 @@ let test_cache_hit_bit_identity () =
             likelihood_fields (Server.handle fresh (request (P.Likelihood s)))
           in
           Alcotest.(check bool) "fresh server is cold" false h3;
-          Alcotest.(check bool) "cold = warm bitwise" true (bits l1 = bits l3)))
+          Alcotest.(check bool) "cold = warm bitwise" true (bits l1 = bits l3)));
+  (* Predict replies too: 96 sites is a two-tile FP64 factor, so the draw
+     and the kriging solves both cross a tile boundary. *)
+  let predict_fields = function
+    | P.Predict_r { mean; variance; cache_hit } ->
+      (Array.map bits mean, Array.map bits variance, cache_hit)
+    | _ -> Alcotest.fail "expected Predict_r"
+  in
+  let req = request (P.Predict { spec = spec ~n:96 ~nb:32 (); n_new = 5; pred_seed = 3 }) in
+  with_server (fun srv ->
+      let m1, v1, h1 = predict_fields (Server.handle srv req) in
+      let m2, v2, h2 = predict_fields (Server.handle srv req) in
+      Alcotest.(check bool) "predict: first is cold" false h1;
+      Alcotest.(check bool) "predict: second hits" true h2;
+      Alcotest.(check bool) "predict mean bitwise identical" true (m1 = m2);
+      Alcotest.(check bool) "predict variance bitwise identical" true (v1 = v2);
+      let digest =
+        Digest.to_hex
+          (Digest.string
+             (String.concat ","
+                (List.map Int64.to_string (Array.to_list m1 @ Array.to_list v1))))
+      in
+      Alcotest.(check string) "predict reply digest" "1a3d5c7ed05ac5acca3334099d8a6a88" digest;
+      with_server (fun fresh ->
+          let m3, v3, h3 = predict_fields (Server.handle fresh req) in
+          Alcotest.(check bool) "predict: fresh server is cold" false h3;
+          Alcotest.(check bool) "predict: cold = warm bitwise" true (m1 = m3 && v1 = v3)))
 
 let prop_cache_hit_bit_identity =
   QCheck.Test.make ~count:8 ~name:"cache-hit factorization is bitwise identical"

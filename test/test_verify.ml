@@ -2,12 +2,14 @@ module Explore = Geomix_verify.Explore
 module Races = Geomix_verify.Races
 module Gen = Geomix_verify.Gen
 module Oracle = Geomix_verify.Oracle
-module Dtd = Geomix_runtime.Dtd
+module Dtd = Geomix_verify.Dtd
 module Dag_exec = Geomix_parallel.Dag_exec
 module Fp = Geomix_precision.Fpformat
 module Pm = Geomix_core.Precision_map
 module Cm = Geomix_core.Comm_map
 module Trace = Geomix_runtime.Trace
+module Task = Geomix_runtime.Task
+module Cdag = Geomix_runtime.Cholesky_dag
 
 (* Every property suite runs under this fixed QCheck state: the whole file
    is deterministic run to run (generator specs carry their own Rng seeds
@@ -126,37 +128,14 @@ let test_seeded_bug_detected () =
 (* Same discipline on the real workload shape: drop the RAW edge
    TRSM(1,0) → SYRK(1,0) from a tile-Cholesky DTD program. *)
 let test_seeded_bug_cholesky_shaped () =
-  let nt = 3 in
-  let g = Dtd.create () in
-  let key i j = (i * nt) + j in
-  let id = Hashtbl.create 16 in
-  for k = 0 to nt - 1 do
-    Hashtbl.add id (`P k)
-      (Dtd.insert g ~name:(Printf.sprintf "POTRF(%d)" k) ~reads:[] ~writes:[ key k k ]
-         (fun () -> ()));
-    for m = k + 1 to nt - 1 do
-      Hashtbl.add id (`T (m, k))
-        (Dtd.insert g
-           ~name:(Printf.sprintf "TRSM(%d,%d)" m k)
-           ~reads:[ key k k ] ~writes:[ key m k ] (fun () -> ()))
-    done;
-    for m = k + 1 to nt - 1 do
-      Hashtbl.add id (`S (m, k))
-        (Dtd.insert g
-           ~name:(Printf.sprintf "SYRK(%d,%d)" m k)
-           ~reads:[ key m k ] ~writes:[ key m m ] (fun () -> ()));
-      for n = k + 1 to m - 1 do
-        Hashtbl.add id (`G (m, n, k))
-          (Dtd.insert g
-             ~name:(Printf.sprintf "GEMM(%d,%d,%d)" m n k)
-             ~reads:[ key m k; key n k ]
-             ~writes:[ key m n ] (fun () -> ()))
-      done
-    done
-  done;
+  let g = Dtd.cholesky ~nt:3 ignore in
+  let id kind =
+    let name = Task.name kind in
+    List.find (fun i -> Dtd.name g i = name) (List.init (Dtd.num_tasks g) Fun.id)
+  in
   Alcotest.(check int) "intact Cholesky DTD is race-free" 0
     (List.length (Races.check_dtd g));
-  let trsm10 = Hashtbl.find id (`T (1, 0)) and syrk10 = Hashtbl.find id (`S (1, 0)) in
+  let trsm10 = id (Task.Trsm (1, 0)) and syrk10 = id (Task.Syrk (1, 0)) in
   match Races.check_dtd ~drop:(trsm10, syrk10) g with
   | [ race ] ->
     Alcotest.(check int) "TRSM(1,0)" trsm10 race.Races.first;
@@ -188,6 +167,55 @@ let reaches ~successors a b =
          (successors id)
   in
   go a
+
+(* The DAG the factorization runs: Cholesky_dag's analytic edges must order
+   every pair of tasks whose footprints (Task.read_tiles / write_tile)
+   conflict.  Every edge carries a conflict, so dropping one that no other
+   path covers must leave exactly its own pair among the races. *)
+let test_cholesky_dag_race_free () =
+  let reaches_without ~successors ~src ~dst =
+    reaches ~successors:(fun id ->
+        let ss = successors id in
+        if id = src then List.filter (( <> ) dst) ss else ss)
+      src dst
+  in
+  for nt = 1 to 8 do
+    let dag = Cdag.create ~nt in
+    let key (i, j) = (i * nt) + j in
+    let footprint id =
+      let kind = Cdag.kind_of dag id in
+      (List.map key (Task.read_tiles kind), [ key (Task.write_tile kind) ])
+    in
+    let check ?drop () =
+      let successors id =
+        let ss = Cdag.successors dag id in
+        match drop with
+        | Some (src, dst) when id = src -> List.filter (( <> ) dst) ss
+        | _ -> ss
+      in
+      Races.check ~num_tasks:(Cdag.num_tasks dag) ~footprint ~successors
+    in
+    Alcotest.(check int) (Printf.sprintf "nt=%d race-free" nt) 0 (List.length (check ()));
+    if nt <= 5 then
+      for src = 0 to Cdag.num_tasks dag - 1 do
+        List.iter
+          (fun dst ->
+            let races = check ~drop:(src, dst) () in
+            let label =
+              Printf.sprintf "nt=%d drop %s -> %s" nt
+                (Task.name (Cdag.kind_of dag src))
+                (Task.name (Cdag.kind_of dag dst))
+            in
+            if reaches_without ~successors:(Cdag.successors dag) ~src ~dst then
+              Alcotest.(check int) (label ^ ": covered by another path") 0 (List.length races)
+            else
+              Alcotest.(check bool) (label ^ ": caught") true
+                (List.exists
+                   (fun r -> (r.Races.first, r.Races.second) = (min src dst, max src dst))
+                   races))
+          (Cdag.successors dag src)
+      done
+  done
 
 let prop_dropped_edge_races_are_real =
   QCheck.Test.make ~name:"every race reported for a broken DAG is real" ~count:100
@@ -408,6 +436,8 @@ let () =
           Alcotest.test_case "seeded bug detected (WAR)" `Quick test_seeded_bug_detected;
           Alcotest.test_case "seeded bug detected (Cholesky RAW)" `Quick
             test_seeded_bug_cholesky_shaped;
+          Alcotest.test_case "Cholesky_dag race-free" `Quick
+            test_cholesky_dag_race_free;
           qtest prop_dtd_derivation_race_free;
           qtest prop_dropped_edge_races_are_real;
         ] );

@@ -7,9 +7,8 @@
 module Explore = Geomix_verify.Explore
 module Races = Geomix_verify.Races
 module Gen = Geomix_verify.Gen
-module Dtd = Geomix_runtime.Dtd
+module Dtd = Geomix_verify.Dtd
 module Mat = Geomix_linalg.Mat
-module Blas = Geomix_linalg.Blas
 module Check = Geomix_linalg.Check
 module Tiled = Geomix_tile.Tiled
 
@@ -54,41 +53,7 @@ let test_programs_schedule_independent () =
   done;
   Printf.printf "systematic: %d schedules checked across 20 programs\n%!" !total
 
-let build_cholesky_dtd a =
-  let nt = Tiled.nt a in
-  let g = Dtd.create () in
-  let key i j = (i * nt) + j in
-  for k = 0 to nt - 1 do
-    ignore
-      (Dtd.insert g ~name:(Printf.sprintf "POTRF(%d)" k) ~reads:[] ~writes:[ key k k ]
-         (fun () -> Blas.potrf_lower (Tiled.tile a k k)));
-    for m = k + 1 to nt - 1 do
-      ignore
-        (Dtd.insert g
-           ~name:(Printf.sprintf "TRSM(%d,%d)" m k)
-           ~reads:[ key k k ] ~writes:[ key m k ]
-           (fun () -> Blas.trsm_right_lower_trans ~l:(Tiled.tile a k k) (Tiled.tile a m k)))
-    done;
-    for m = k + 1 to nt - 1 do
-      ignore
-        (Dtd.insert g
-           ~name:(Printf.sprintf "SYRK(%d,%d)" m k)
-           ~reads:[ key m k ] ~writes:[ key m m ]
-           (fun () ->
-             Blas.syrk_lower ~alpha:(-1.) (Tiled.tile a m k) ~beta:1. (Tiled.tile a m m)));
-      for n = k + 1 to m - 1 do
-        ignore
-          (Dtd.insert g
-             ~name:(Printf.sprintf "GEMM(%d,%d,%d)" m n k)
-             ~reads:[ key m k; key n k ]
-             ~writes:[ key m n ]
-             (fun () ->
-               Blas.gemm_nt ~alpha:(-1.) (Tiled.tile a m k) (Tiled.tile a n k) ~beta:1.
-                 (Tiled.tile a m n)))
-      done
-    done
-  done;
-  g
+let build_cholesky_dtd a = Dtd.cholesky ~nt:(Tiled.nt a) (Dtd.tile_kernel a)
 
 (* Every linearization of the nt=3 tile Cholesky DTD produces a correct
    factorization.  Each schedule factorizes a fresh copy (the bodies
