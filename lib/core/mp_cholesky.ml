@@ -3,6 +3,7 @@ module Fpformat = Geomix_precision.Fpformat
 module Mat = Geomix_linalg.Mat
 module Blas = Geomix_linalg.Blas
 module Blas_emul = Geomix_linalg.Blas_emul
+module Buf_pool = Geomix_linalg.Buf_pool
 module Pool = Geomix_parallel.Pool
 module Dag_exec = Geomix_parallel.Dag_exec
 module Task = Geomix_runtime.Task
@@ -64,9 +65,20 @@ let factorize_round ?pool ?profile ?faults ?retry ?obs ?integrity ?cmap ?observe
   let stored_key i j = pidx i j in
   let ship_key i j = npairs + pidx i j in
   (match integrity with Some g -> Guard.reset g | None -> ());
+  (* The broadcast forms this round allocated — Algorithm 2's conversions,
+     SDC copies and recomputed payloads.  A TTC slot is the stored tile
+     itself and is never among them.  They go back to the pool once the
+     round has ended, when no task can still read them. *)
+  let owned = Atomic.make [] in
+  let rec own m =
+    let l = Atomic.get owned in
+    if Atomic.compare_and_set owned l (m :: l) then m else own m
+  in
   let shipped_form i j =
     let tile = Tiled.tile a i j in
-    match comm_conversion i j with None -> tile | Some s -> Mat.rounded s tile
+    match comm_conversion i j with
+    | None -> tile
+    | Some s -> own (Buf_pool.rounded s tile)
   in
   let publish i j =
     let tile = Tiled.tile a i j in
@@ -219,7 +231,7 @@ let factorize_round ?pool ?profile ?faults ?retry ?obs ?integrity ?cmap ?observe
         let p = pidx i j in
         let current = match shipped.(p) with Some m -> m | None -> assert false in
         let bitflipped bit lane =
-          let c = Mat.copy current in
+          let c = own (Buf_pool.copy current) in
           flip_bit c ~bit ~lane;
           c
         in
@@ -241,7 +253,7 @@ let factorize_round ?pool ?profile ?faults ?retry ?obs ?integrity ?cmap ?observe
             | Some m'
               when Mat.rows m' = Mat.rows current && Mat.cols m' = Mat.cols current
               ->
-              Mat.copy m'
+              own (Buf_pool.copy m')
             | _ -> bitflipped 52 lane)
         in
         shipped.(p) <- Some bad)
@@ -450,25 +462,30 @@ let factorize_round ?pool ?profile ?faults ?retry ?obs ?integrity ?cmap ?observe
       ~successors:(Cholesky_dag.successors dag)
       ~execute ()
   in
-  (match pool with
-  | Some pool -> run pool
-  | None -> Pool.with_pool ~num_workers:0 run);
-  (* Terminal ABFT sweep: every stored tile of the factor, and every
-     broadcast payload still in flight, re-verified before the result is
-     handed back — a corruption whose consumer never ran (a payload with no
-     remaining readers) cannot escape silently. *)
-  (match integrity with
-  | None -> ()
-  | Some g ->
-    for i = 0 to ntiles - 1 do
-      for j = 0 to i do
-        let task = Printf.sprintf "final(%d,%d)" i j in
-        recover_stored g ~task i j;
-        match shipped.(pidx i j) with
-        | None -> ()
-        | Some m -> ignore (recover_shipped g ~task i j m)
-      done
-    done);
+  (* [run] returns or raises only once every task of the round has
+     settled, so on either path no task still reads an owned form. *)
+  Fun.protect
+    ~finally:(fun () -> List.iter Buf_pool.give (Atomic.get owned))
+    (fun () ->
+      (match pool with
+      | Some pool -> run pool
+      | None -> Pool.with_pool ~num_workers:0 run);
+      (* Terminal ABFT sweep: every stored tile of the factor, and every
+         broadcast payload still in flight, re-verified before the result
+         is handed back — a corruption whose consumer never ran (a payload
+         with no remaining readers) cannot escape silently. *)
+      match integrity with
+      | None -> ()
+      | Some g ->
+        for i = 0 to ntiles - 1 do
+          for j = 0 to i do
+            let task = Printf.sprintf "final(%d,%d)" i j in
+            recover_stored g ~task i j;
+            match shipped.(pidx i j) with
+            | None -> ()
+            | Some m -> ignore (recover_shipped g ~task i j m)
+          done
+        done);
   (* Clear the stale upper triangles of the diagonal tiles so the tiled
      matrix now represents the factor L alone. *)
   for k = 0 to ntiles - 1 do
@@ -493,8 +510,25 @@ type report = {
   pmap : Precision_map.t;
 }
 
-let restore_tiles ~from a =
-  Tiled.iter_lower from (fun ~i ~j m -> Mat.blit ~src:m ~dst:(Tiled.tile a i j))
+(* The restore copy is one pooled buffer per matrix, the stored tiles back
+   to back in [Tiled.iter_lower] order: one [Bigarray] for the whole copy,
+   not one per tile.  [each_view a buf f] calls [f m v] for every stored
+   tile [m] of [a] and its view [v] in [buf]. *)
+let each_view a buf f =
+  let off = ref 0 in
+  Tiled.iter_lower a (fun ~i:_ ~j:_ m ->
+    let rows = Mat.rows m and cols = Mat.cols m in
+    f m (Mat.view buf ~off:!off ~rows ~cols);
+    off := !off + (rows * cols))
+
+let snapshot a =
+  let total = ref 0 in
+  Tiled.iter_lower a (fun ~i:_ ~j:_ m -> total := !total + (Mat.rows m * Mat.cols m));
+  let buf = Buf_pool.take ~rows:!total ~cols:1 in
+  each_view a buf (fun m v -> Mat.blit ~src:m ~dst:v);
+  buf
+
+let restore ~from a = each_view a from (fun m v -> Mat.blit ~src:v ~dst:m)
 
 (* Band-scoped retries before the whole map is promoted. *)
 let band_budget = 4
@@ -513,7 +547,7 @@ let factorize_robust ?pool ?profile ?faults ?retry ?obs ?integrity ?cmap ?job
         fun () -> Metrics.incr indef )
   in
   let emit = emit obs ~component:"recovery" in
-  let original = Tiled.copy a in
+  let original = snapshot a in
   let rec go round pmap events bands =
     (* The caller's memoized communication map matches the original
        precision map only; escalated rounds run under a promoted map and
@@ -529,7 +563,7 @@ let factorize_robust ?pool ?profile ?faults ?retry ?obs ?integrity ?cmap ?job
       (* Leave the input unchanged on every failure path: recovery re-runs
          from the pristine matrix, and a caller that sees Indefinite (or a
          propagated execution fault) gets its matrix back. *)
-      restore_tiles ~from:original a;
+      restore ~from:original a;
       match exn with
       | Blas.Not_positive_definite p ->
         if Precision_map.all_fp64 pmap then begin
@@ -572,7 +606,7 @@ let factorize_robust ?pool ?profile ?faults ?retry ?obs ?integrity ?cmap ?job
           end
       | exn -> Printexc.raise_with_backtrace exn bt)
   in
-  go 1 pmap [] []
+  Fun.protect ~finally:(fun () -> Buf_pool.give original) (fun () -> go 1 pmap [] [])
 
 let solve_lower l b =
   let ntiles = Tiled.nt l and nb = Tiled.nb l in

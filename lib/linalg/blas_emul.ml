@@ -1,44 +1,6 @@
 module Fpformat = Geomix_precision.Fpformat
 module Rng = Geomix_util.Rng
 
-(* The kernels round their operands into scratch tiles recycled
-   through one free list keyed by shape, instead of a fresh copy per call.
-   The list is shared under a mutex rather than kept per domain: pool tasks
-   run on several systhreads of one domain, so a per-domain tile could be
-   handed to two running kernels at once.  At most [scratch_keep] tiles per
-   shape are kept; a tile lost to an exception is simply collected. *)
-let scratch_lock = Mutex.create ()
-let scratch : (int * int, Mat.t list) Hashtbl.t = Hashtbl.create 8
-let scratch_keep = 8
-
-(* [rounded_scratch s m] is a scratch tile holding [Mat.rounded s m]; hand
-   it back with [release]. *)
-let rounded_scratch s m =
-  let key = (Mat.rows m, Mat.cols m) in
-  let recycled =
-    Mutex.protect scratch_lock (fun () ->
-      match Hashtbl.find_opt scratch key with
-      | Some (t :: rest) ->
-        Hashtbl.replace scratch key rest;
-        Some t
-      | _ -> None)
-  in
-  let t =
-    match recycled with
-    | Some t ->
-      Mat.blit ~src:m ~dst:t;
-      t
-    | None -> Mat.copy m
-  in
-  Mat.round_inplace s t;
-  t
-
-let release t =
-  let key = (Mat.rows t, Mat.cols t) in
-  Mutex.protect scratch_lock (fun () ->
-    let free = Option.value ~default:[] (Hashtbl.find_opt scratch key) in
-    if List.length free < scratch_keep then Hashtbl.replace scratch key (t :: free))
-
 (* Fig 1's accuracy model: tensor cores form exact products of the rounded
    inputs and round every accumulation. *)
 let gemm_nt_per_op ~prec ~alpha a b ~beta c =
@@ -57,15 +19,17 @@ let gemm_nt_per_op ~prec ~alpha a b ~beta c =
     done
   done
 
+(* The kernels round their operands into scratch tiles from [Buf_pool],
+   given back when the kernel returns, instead of a fresh copy per call. *)
 let gemm_nt ~prec ~alpha a b ~beta c =
   match prec with
   | Fpformat.Fp64 -> Blas.gemm_nt ~alpha a b ~beta c
   | _ ->
     let si = Fpformat.input_scalar prec and sa = Fpformat.accum_scalar prec in
-    let ar = rounded_scratch si a and br = rounded_scratch si b in
+    let ar = Buf_pool.rounded si a and br = Buf_pool.rounded si b in
     Blas.gemm_nt ~alpha ar br ~beta c;
-    release ar;
-    release br;
+    Buf_pool.give ar;
+    Buf_pool.give br;
     Mat.round_inplace sa c
 
 let syrk_lower ~prec ~alpha a ~beta c =
@@ -73,9 +37,9 @@ let syrk_lower ~prec ~alpha a ~beta c =
   | Fpformat.Fp64 -> Blas.syrk_lower ~alpha a ~beta c
   | _ ->
     let si = Fpformat.input_scalar prec and sa = Fpformat.accum_scalar prec in
-    let ar = rounded_scratch si a in
+    let ar = Buf_pool.rounded si a in
     Blas.syrk_lower ~alpha ar ~beta c;
-    release ar;
+    Buf_pool.give ar;
     Mat.round_inplace sa c
 
 let trsm_right_lower_trans ~prec ~l b =
@@ -83,10 +47,10 @@ let trsm_right_lower_trans ~prec ~l b =
   | Fpformat.Fp64 -> Blas.trsm_right_lower_trans ~l b
   | _ ->
     let sa = Fpformat.accum_scalar prec in
-    let lr = rounded_scratch sa l in
+    let lr = Buf_pool.rounded sa l in
     Mat.round_inplace sa b;
     Blas.trsm_right_lower_trans ~l:lr b;
-    release lr;
+    Buf_pool.give lr;
     Mat.round_inplace sa b
 
 let potrf_lower ~prec a =

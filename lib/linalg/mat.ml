@@ -4,11 +4,22 @@ type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type t = { data : buf; rows : int; cols : int }
 
+(* Every matrix this module allocates, counted where its storage is made. *)
+let created_tiles = Atomic.make 0
+let created_bytes = Atomic.make 0
+
 let create ~rows ~cols =
   assert (rows >= 0 && cols >= 0);
   let data = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (rows * cols) in
   Bigarray.Array1.fill data 0.;
+  Atomic.incr created_tiles;
+  ignore (Atomic.fetch_and_add created_bytes (8 * rows * cols));
   { data; rows; cols }
+
+let allocations () = (Atomic.get created_tiles, Atomic.get created_bytes)
+
+let view t ~off ~rows ~cols =
+  { data = Bigarray.Array1.sub t.data off (rows * cols); rows; cols }
 
 let rows t = t.rows
 let cols t = t.cols

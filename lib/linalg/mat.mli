@@ -10,7 +10,18 @@ type t
 type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 val create : rows:int -> cols:int -> t
-(** Zero-initialised matrix. *)
+(** Zero-initialised matrix.  Every function here that returns a fresh
+    matrix allocates it through [create]. *)
+
+val allocations : unit -> int * int
+(** [(matrices, bytes)] allocated by {!create} since the program started,
+    over all domains. *)
+
+val view : t -> off:int -> rows:int -> cols:int -> t
+(** [view t ~off ~rows ~cols] is a [rows]×[cols] matrix over the
+    [rows·cols] consecutive entries of [t]'s storage from [off]: it shares
+    [t]'s bytes and allocates none, so a write through either is seen by
+    both. *)
 
 val init : rows:int -> cols:int -> (int -> int -> float) -> t
 (** [init ~rows ~cols f] fills entry (i, j) with [f i j]. *)
