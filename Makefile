@@ -33,6 +33,7 @@ chaos:
 	for seed in 1 2 3; do \
 	  dune exec bin/geomix.exe -- chaos --seed $$seed --nt 6 --nb 16 --rate 0.2 || exit 1; \
 	  dune exec bin/geomix.exe -- chaos --seed $$seed --nt 6 --nb 16 --rate 0.1 --pivot-rate 1.0 || exit 1; \
+	  dune exec bin/geomix.exe -- chaos --seed $$seed --nt 6 --nb 16 --rate 0.1 --pivot-rate 1.0 --workers 2 || exit 1; \
 	  dune exec bin/geomix.exe -- chaos --seed $$seed --nt 6 --nb 16 --rate 0.3 --sdc || exit 1; \
 	done
 

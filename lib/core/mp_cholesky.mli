@@ -8,6 +8,9 @@
     form of the data: under STC that is the tile down-converted once to the
     communication format of Algorithm 2, so the accuracy consequences of the
     automated conversion strategy — not just its speed — are reproduced.
+    Each converted form is a buffer taken from {!Geomix_linalg.Buf_pool}
+    and given back when the factorization ends, raising or not; a TTC form
+    is the stored tile itself and never enters the pool.
     The conversion strategy is the communication map: {!Comm_map.compute}
     (the default) is the paper's per-tile STC/TTC decision, and
     {!Comm_map.ttc} the always-TTC baseline of refs [18]/[38]. *)
@@ -220,8 +223,13 @@ val factorize_robust :
     they re-derive their transfers as {!factorize} would.  On [Factorized] the
     matrix holds the factor computed under [report.pmap]; on [Indefinite]
     (and on any propagated execution fault) the matrix is restored to its
-    input values.  At most 4 band-scoped retries run before the full map is
-    promoted.  With [?obs], records
+    input values.  The restore copy that keeps this promise is one
+    contiguous buffer taken from {!Geomix_linalg.Buf_pool}, and it is given
+    back on every exit, so a warm call of a shape allocates no copy.  The
+    pool is safe across domains and threads, and the bytes it keeps are
+    bounded (at most 32 free buffers per shape and 32 MiB in all); a copy
+    it does not keep is left to the GC.  At most 4 band-scoped retries run
+    before the full map is promoted.  With [?obs], records
     [recovery.band_escalations], [recovery.full_escalations] and
     [recovery.indefinite], and its event stream narrates escalation
     decisions on component ["recovery"]: a Warn [escalate] event per

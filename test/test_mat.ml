@@ -1,6 +1,7 @@
 module Mat = Geomix_linalg.Mat
 module Fp = Geomix_precision.Fpformat
 module Rng = Geomix_util.Rng
+module Buf_pool = Geomix_linalg.Buf_pool
 
 let test_create_zeroed () =
   let m = Mat.create ~rows:3 ~cols:2 in
@@ -114,6 +115,26 @@ let prop_frobenius_triangle =
       Mat.add_scaled s ~alpha:1. b;
       Mat.frobenius s <= Mat.frobenius a +. Mat.frobenius b +. 1e-9)
 
+let test_view_shares_storage () =
+  let m = Mat.init ~rows:12 ~cols:1 (fun i _ -> float_of_int i) in
+  let v = Mat.view m ~off:4 ~rows:2 ~cols:3 in
+  Alcotest.(check (float 0.)) "(1, 2) is entry 4 + 1 + 2·2" 9. (Mat.get v 1 2);
+  Mat.set v 0 1 (-1.);
+  Alcotest.(check (float 0.)) "write shows through" (-1.) (Mat.get m 6 0)
+
+let test_buf_pool_bound () =
+  (* A shape keeps at most 32 free buffers: after 40 are given back, taking
+     40 again allocates the 8 the pool dropped. *)
+  let rows = 3 and cols = 41 in
+  let taken = List.init 40 (fun _ -> Buf_pool.take ~rows ~cols) in
+  List.iter Buf_pool.give taken;
+  let before, bytes_before = Mat.allocations () in
+  let again = List.init 40 (fun _ -> Buf_pool.take ~rows ~cols) in
+  let after, bytes_after = Mat.allocations () in
+  Alcotest.(check int) "matrices allocated" 8 (after - before);
+  Alcotest.(check int) "bytes allocated" (8 * 8 * rows * cols) (bytes_after - bytes_before);
+  List.iter Buf_pool.give again
+
 let () =
   Alcotest.run "mat"
     [
@@ -135,6 +156,8 @@ let () =
           Alcotest.test_case "round inplace" `Quick test_round_inplace;
           Alcotest.test_case "rel diff" `Quick test_rel_diff;
           Alcotest.test_case "blocks" `Quick test_blocks;
+          Alcotest.test_case "view shares storage" `Quick test_view_shares_storage;
+          Alcotest.test_case "buffer pool bound" `Quick test_buf_pool_bound;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
