@@ -11,13 +11,16 @@ test:
 
 # Tier-1 plus the seeded schedule-explorer pass over a numeric DTD Cholesky,
 # the run-report gate of the CI report-smoke job (exits nonzero unless the
-# streamed event log rebuilds the measured makespan bit-identically) and the
+# streamed event log rebuilds the measured makespan bit-identically), the
 # CI bench-smoke gate over the modelled STC/TTC metrics (makespan_ttc,
-# sim_bytes_ttc, motion_conv_ttc, ...) against the committed baseline.
+# sim_bytes_ttc, motion_conv_ttc, ...) against the committed baseline, and
+# the measured benchmark's smoke pass (as CI's build-test job runs it), so
+# an interface change that breaks benchmark/ fails here too.
 check: test
 	dune exec test/explorer_pass.exe
 	dune exec bin/geomix.exe -- report --smoke > /dev/null
 	dune exec bench/main.exe -- --smoke --compare bench/BENCH_baseline.json
+	dune exec benchmark/main.exe -- --smoke
 
 # Run the example programs; each must exit 0.  climate_matern is the one
 # program that drives Likelihood.Exact, Prediction and Field end to end.

@@ -62,7 +62,7 @@ let pareto_front points =
            points))
     points
 
-let explore_target ?pool ?(c = 64.) ~machine ~element ~nt ~nb target =
+let explore_target ~machine ~element ~nt ~nb target =
   let n = nt * nb in
   let a0 = Tiled.init ~n ~nb element in
   let dense = Tiled.to_dense a0 in
@@ -74,7 +74,7 @@ let explore_target ?pool ?(c = 64.) ~machine ~element ~nt ~nb target =
   let tracker = Range_tracker.create ~nt in
   Range_tracker.observe_tiled tracker a0;
   let pilot = Tiled.copy a0 in
-  Mp.factorize ?pool ~observe:(Range_tracker.hook tracker) ~pmap pilot;
+  Mp.factorize ~observe:(Range_tracker.hook tracker) ~pmap pilot;
   let residual_of t =
     let l = Tiled.to_dense t in
     Mat.zero_upper l;
@@ -84,9 +84,9 @@ let explore_target ?pool ?(c = 64.) ~machine ~element ~nt ~nb target =
   (* Advise, then factorize under the advised transfer formats. *)
   let advice = Type_advisor.advise ~u_req:target ~ranges:tracker ~pmap () in
   let advised = Tiled.copy a0 in
-  Mp.factorize ?pool ~cmap:advice.Type_advisor.cmap ~pmap advised;
+  Mp.factorize ~cmap:advice.Type_advisor.cmap ~pmap advised;
   let residual = residual_of advised in
-  let bound = Type_advisor.residual_bound ~c advice in
+  let bound = Type_advisor.residual_bound advice in
   (* Motion and simulated energy/makespan, advised vs norm-rule. *)
   let m_adv = Cm.motion advice.Type_advisor.cmap pmap ~nb in
   let m_norm = Cm.motion advice.Type_advisor.base pmap ~nb in
@@ -109,17 +109,15 @@ let explore_target ?pool ?(c = 64.) ~machine ~element ~nt ~nb target =
     makespan_norm = sim_norm.Sim.makespan;
   }
 
-let sweep ?pool ?(targets = default_targets) ?machine ?element ?c ~nt ~nb ~seed () =
+let sweep ?(targets = default_targets) ?machine ~nt ~nb ~seed () =
   if targets = [] then invalid_arg "Pareto_explorer.sweep: empty target list";
   let machine =
     match machine with Some m -> m | None -> Machine.single_gpu Gpu_specs.A100
   in
-  let element =
-    match element with Some f -> f | None -> synthetic_element ~seed
-  in
+  let element = synthetic_element ~seed in
   let targets = List.sort_uniq (fun a b -> compare b a) targets in
   let points =
-    List.map (fun t -> explore_target ?pool ?c ~machine ~element ~nt ~nb t) targets
+    List.map (fun t -> explore_target ~machine ~element ~nt ~nb t) targets
   in
   { nt; nb; seed; machine = machine.Machine.name; points; pareto = pareto_front points }
 

@@ -39,40 +39,29 @@ type frontier = {
   pareto : point list;   (** non-dominated in (bytes_stc, residual) *)
 }
 
-val default_targets : float list
-(** [1e-2 … 1e-12], six log-spaced accuracy targets. *)
-
 val synthetic_element : seed:int -> int -> int -> float
 (** Seeded SPD covariance-like element function (exponential decay with
     seed-jittered rate and diagonal) — closed-form, so sweeps are
     reproducible without carrying matrices around. *)
 
 val sweep :
-  ?pool:Geomix_parallel.Pool.t ->
   ?targets:float list ->
   ?machine:Machine.t ->
-  ?element:(int -> int -> float) ->
-  ?c:float ->
   nt:int ->
   nb:int ->
   seed:int ->
   unit ->
   frontier
 (** Run the pipeline once per target (deduplicated, swept loosest-first).
-    Defaults: {!default_targets}, a single-A100 machine,
-    [synthetic_element ~seed], oracle constant [c = 64].
+    The matrix is [synthetic_element ~seed], each point's accuracy bound
+    {!Type_advisor.residual_bound}.  Defaults: six log-spaced targets
+    [1e-2 … 1e-12] and a single-A100 machine.
     @raise Invalid_argument on an empty target list. *)
-
-val pareto_front : point list -> point list
 
 val to_json : frontier -> Geomix_obs.Jsonlite.t
 val to_json_string : frontier -> string
 (** Schema ["geomix-autotune-frontier/1"]; deterministic byte-for-byte for
     equal frontiers. *)
-
-val report_section : frontier -> Geomix_obs.Report.t -> unit
-(** Append the frontier as a {!Geomix_obs.Report} section (GFM table plus
-    the JSON attachment under key ["autotune_frontier"]). *)
 
 val to_markdown : frontier -> string
 

@@ -29,14 +29,11 @@ val observe : t -> i:int -> j:int -> Geomix_linalg.Mat.t -> unit
 
 val observe_value : t -> i:int -> j:int -> float -> unit
 
-val observe_input : t -> i:int -> j:int -> Geomix_linalg.Mat.t -> unit
-(** Like {!observe}, additionally accumulating the tile's Frobenius mass —
-    use for the {e input} matrix before the pilot runs, so the advisor can
-    evaluate the Higham–Mary ratio ‖A_ij‖·NT/‖A‖ from tracker state
-    alone. *)
-
 val observe_tiled : t -> Geomix_tile.Tiled.t -> unit
-(** {!observe_input} over the whole lower triangle.
+(** {!observe} every lower-triangle tile, additionally accumulating each
+    tile's Frobenius mass — use for the {e input} matrix before the pilot
+    runs, so the advisor can evaluate the Higham–Mary ratio
+    ‖A_ij‖·NT/‖A‖ from tracker state alone.
     @raise Invalid_argument on a tile-count mismatch. *)
 
 val hook : t -> i:int -> j:int -> Geomix_linalg.Mat.t -> unit
@@ -63,10 +60,10 @@ val observations : t -> int
 (** Total observations across all tiles. *)
 
 val input_tile_norm : t -> int -> int -> float
-(** ‖A_ij‖_F of the mass recorded through {!observe_input}. *)
+(** ‖A_ij‖_F of the mass recorded through {!observe_tiled}. *)
 
 val input_norm : t -> float
-(** ‖A‖_F over all {!observe_input} mass. *)
+(** ‖A‖_F over all {!observe_tiled} mass. *)
 
 (** {1 Format queries} *)
 

@@ -86,5 +86,4 @@ let fp8_tiles t =
        (fun d -> d.advised_comm = Fp.S_fp8_e4m3 || d.advised_comm = Fp.S_fp8_e5m2)
        t.demotions)
 
-let residual_bound ?(c = 64.) t =
-  (c *. float_of_int (Pm.nt t.pmap) *. t.rule_worst) +. 1e-13
+let residual_bound t = (64. *. float_of_int (Pm.nt t.pmap) *. t.rule_worst) +. 1e-13

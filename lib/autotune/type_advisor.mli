@@ -42,10 +42,6 @@ type t = {
           Higham–Mary product {!residual_bound} scales *)
 }
 
-val default_chain : Fp.scalar list
-(** Candidate transfer formats, narrowest first:
-    [\[S_fp8_e4m3; S_fp8_e5m2; S_fp16; S_bf16\]]. *)
-
 val advise :
   ?chain:Fp.scalar list ->
   u_req:float ->
@@ -63,8 +59,8 @@ val demoted : t -> int
 val fp8_tiles : t -> int
 (** Demotions whose advised format is one of the FP8 scalars. *)
 
-val residual_bound : ?c:float -> t -> float
-(** [c · NT · rule_worst + 1e-13] (default [c = 64], matching
-    [Geomix_verify.Oracle.residual_bound]): the differential-oracle bound
-    the measured relative residual of a factorization under [cmap] must
-    satisfy. *)
+val residual_bound : t -> float
+(** [64 · NT · rule_worst + 1e-13] (64 is also
+    [Geomix_verify.Oracle.residual_bound]'s default constant): the
+    differential-oracle bound the measured relative residual of a
+    factorization under [cmap] must satisfy. *)

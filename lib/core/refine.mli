@@ -35,7 +35,3 @@ val solve :
     low-precision) tiled Cholesky factor of [a] (which still holds the
     original matrix).  Defaults: [max_iterations = 30],
     [tolerance = 1e-12] on the relative residual. *)
-
-val matvec_sym : Tiled.t -> float array -> float array
-(** FP64 symmetric matrix–vector product with a tiled lower-triangle
-    matrix (used for the residuals; exposed for reuse and testing). *)

@@ -62,7 +62,6 @@ type t = {
   only : string -> bool;
   n_injected : int Atomic.t;
   n_pivots : int Atomic.t;
-  n_disk : int Atomic.t;
   n_by_kind : int Atomic.t array; (* indexed like [kinds] *)
   obs : obs_state option;
 }
@@ -117,7 +116,6 @@ let plan ?obs ?(rate = 0.) ?(kinds = [ Transient ]) ?(pivot_rate = 0.)
     only;
     n_injected = Atomic.make 0;
     n_pivots = Atomic.make 0;
-    n_disk = Atomic.make 0;
     n_by_kind = Array.init (List.length kinds) (fun _ -> Atomic.make 0);
     obs =
       Option.map
@@ -274,7 +272,6 @@ let disk_decide t ~op ~path ~attempt =
           in
           Read_bit_flip { bit; lane }
       in
-      Atomic.incr t.n_disk;
       Atomic.incr t.n_injected;
       (match t.obs with
       | None -> ()
@@ -294,7 +291,6 @@ let disk_decide t ~op ~path ~attempt =
 
 let injected t = Atomic.get t.n_injected
 let pivots t = Atomic.get t.n_pivots
-let disk_faults t = Atomic.get t.n_disk
 
 let by_kind t =
   Array.to_list (Array.mapi (fun i k -> (k, Atomic.get t.n_by_kind.(i))) t.kinds)

@@ -137,8 +137,6 @@ val sdc_decide : t -> task:string -> attempt:int -> sdc option
     payloads on every replay.  Counts (as kind [Sdc]) and narrates on the
     bus when [Some]. *)
 
-val sdc_name : sdc -> string
-
 val disk_decide : t -> op:disk_op -> path:string -> attempt:int -> disk option
 (** Whether this disk operation faults, and how (decided at the dedicated
     ["disk:write"] / ["disk:read"] site under [disk_rate]; [path] plays
@@ -147,8 +145,6 @@ val disk_decide : t -> op:disk_op -> path:string -> attempt:int -> disk option
     {!Read_bit_flip}.  Attempts above [fail_attempts] never fault, so the
     store's bounded rewrite/re-read retry always converges.  Counts and
     narrates on the event stream when [Some]. *)
-
-val disk_name : disk -> string
 
 (** {1 Injection accounting}
 
@@ -164,9 +160,6 @@ val injected : t -> int
 
 val pivots : t -> int
 (** Forced pivot failures granted by {!pivot_failure}. *)
-
-val disk_faults : t -> int
-(** Disk faults granted by {!disk_decide} (mirrored as [fault.disk]). *)
 
 val by_kind : t -> (kind * int) list
 (** Injection count per execution-level kind, in declaration order. *)

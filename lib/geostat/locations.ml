@@ -33,16 +33,8 @@ let jittered_grid ~dims ~rng ~n =
 let jittered_grid_2d ~rng ~n = jittered_grid ~dims:2 ~rng ~n
 let jittered_grid_3d ~rng ~n = jittered_grid ~dims:3 ~rng ~n
 
-let uniform ~dims ~rng ~n =
-  { dim = dims; coords = Array.init n (fun _ -> Array.init dims (fun _ -> Rng.float rng)) }
-
-let uniform_2d ~rng ~n = uniform ~dims:2 ~rng ~n
-let uniform_3d ~rng ~n = uniform ~dims:3 ~rng ~n
-
-let of_coord_list ~dims coords =
-  let coords = Array.of_list coords in
-  Array.iter (fun c -> assert (Array.length c = dims)) coords;
-  { dim = dims; coords = Array.map Array.copy coords }
+let uniform_2d ~rng ~n =
+  { dim = 2; coords = Array.init n (fun _ -> Array.init 2 (fun _ -> Rng.float rng)) }
 
 let subset t idx =
   { t with coords = Array.of_list (List.map (fun i -> Array.copy t.coords.(i)) idx) }

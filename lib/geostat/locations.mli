@@ -22,12 +22,6 @@ val jittered_grid_3d : rng:Geomix_util.Rng.t -> n:int -> t
 val uniform_2d : rng:Geomix_util.Rng.t -> n:int -> t
 (** Fully uniform sites (no separation guarantee). *)
 
-val uniform_3d : rng:Geomix_util.Rng.t -> n:int -> t
-
-val of_coord_list : dims:int -> float array list -> t
-(** Wrap explicit coordinates (each of length [dims]) — used to split
-    observation/prediction sets or to import external site lists. *)
-
 val subset : t -> int list -> t
 (** Sites selected by index, in the given order. *)
 

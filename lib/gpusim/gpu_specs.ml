@@ -43,7 +43,6 @@ let h100 =
   }
 
 let of_generation = function V100 -> v100 | A100 -> a100 | H100 -> h100
-let generation_name = function V100 -> "V100" | A100 -> "A100" | H100 -> "H100"
 
 (* Table I of the paper, in flop/s.  FP16_32 runs on the FP16 tensor units. *)
 let peak_flops t prec =

@@ -30,7 +30,6 @@ val h100 : t
 (** H100 PCIe (80 GB) as deployed on Haxane. *)
 
 val of_generation : generation -> t
-val generation_name : generation -> string
 
 val peak_flops : t -> Fpformat.t -> float
 (** Theoretical peak (flop/s) of a kernel of the given precision: FP64
@@ -43,12 +42,9 @@ val sustained_gemm : t -> Fpformat.t -> float
 
 val kernel_efficiency : t -> Geomix_runtime.Task.kind -> Fpformat.t -> float
 (** Fraction of peak sustained by each tile kernel inside a full run: GEMM
-    at {!sustained_gemm} times {!runtime_overhead}; TRSM/SYRK somewhat
-    lower; POTRF latency-bound. *)
-
-val runtime_overhead : t -> float
-(** End-to-end derating (launch/synchronisation/runtime costs) applied on
-    top of the resident-GEMM sustained fraction. *)
+    at {!sustained_gemm} times an end-to-end derating for launch,
+    synchronisation and runtime costs; TRSM/SYRK somewhat lower; POTRF
+    latency-bound. *)
 
 val conversion_bw : t -> float
 (** Sustained bandwidth (B/s) of datatype-conversion kernels. *)

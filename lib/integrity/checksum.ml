@@ -40,33 +40,28 @@ let dims_match t m = t.rows = Mat.rows m && t.cols = Mat.cols m
 
 let matches t m = dims_match t m && Int64.equal t.fnv (hash m)
 
-let default_safety = 2.
-
 (* Rounding every entry of A into a format with unit roundoff u and
    subnormal spacing d moves each entry by at most u·|a_ij| (normal range)
    plus d/2 (gradual underflow), so
    |‖round(A)‖_F − ‖A‖_F| ≤ ‖round(A) − A‖_F ≤ u·‖A‖_F + (d/2)·√(rows·cols).
-   The safety factor absorbs the binary64 rounding of the norm computation
-   itself. *)
-let conv_tolerance ?(safety = default_safety) ~u_low ?(tiny = 0.) t =
-  safety
-  *. ((u_low *. t.fro) +. (0.5 *. tiny *. sqrt (float_of_int (t.rows * t.cols))))
+   The safety factor 2 absorbs the binary64 rounding of the norm
+   computation itself. *)
+let conv_tolerance ~u_low ~tiny t =
+  2. *. ((u_low *. t.fro) +. (0.5 *. tiny *. sqrt (float_of_int (t.rows * t.cols))))
 
-let matches_converted ?safety ~u_low ?tiny t m =
-  dims_match t m
-  &&
-  let fro = Mat.frobenius m in
-  Float.is_finite fro
-  && Float.abs (fro -. t.fro) <= conv_tolerance ?safety ~u_low ?tiny t
-
-let matches_scalar ?safety t ~scalar m =
+let matches_scalar t ~scalar m =
   match scalar with
   | Fpformat.S_fp64 -> matches t m
   | s ->
-    matches_converted ?safety
-      ~u_low:(Fpformat.scalar_unit_roundoff s)
-      ~tiny:(Fpformat.scalar_min_subnormal s)
-      t m
+    dims_match t m
+    &&
+    let fro = Mat.frobenius m in
+    Float.is_finite fro
+    && Float.abs (fro -. t.fro)
+       <= conv_tolerance
+            ~u_low:(Fpformat.scalar_unit_roundoff s)
+            ~tiny:(Fpformat.scalar_min_subnormal s)
+            t
 
 let to_string t =
   Printf.sprintf "{fnv=%Lx; fro=%.17g; %dx%d}" t.fnv t.fro t.rows t.cols

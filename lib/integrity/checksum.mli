@@ -10,7 +10,7 @@
       payload between a publish and its reads, a stored tile between its
       writer and the next kernel that touches it).  Any flipped bit, any
       swapped tile, fails.
-    - {!matches_converted} / {!matches_scalar}: the Frobenius fingerprint
+    - {!matches_scalar}: the Frobenius fingerprint
       within a tolerance derived from the target format's unit roundoff
       [u_low] (the Higham–Mary quantity the precision map is built from) —
       the check for hops that legitimately change the bytes, i.e. the
@@ -46,29 +46,18 @@ val bytes : t -> int
 val matches : t -> Geomix_linalg.Mat.t -> bool
 (** Exact verification: dimensions and byte-image hash both match. *)
 
-val matches_converted :
-  ?safety:float -> u_low:float -> ?tiny:float -> t -> Geomix_linalg.Mat.t -> bool
-(** Conversion-tolerant verification of a tile that was rounded into a
-    format with unit roundoff [u_low] and smallest positive value [tiny]
-    (default [0.]) since the stamp was taken: dimensions match and the
-    Frobenius norm moved by at most {!conv_tolerance}.  A non-finite norm
-    (overflow to infinity in transit) always fails. *)
-
 val matches_scalar :
-  ?safety:float -> t -> scalar:Geomix_precision.Fpformat.scalar ->
-  Geomix_linalg.Mat.t -> bool
-(** {!matches_converted} with [u_low] and [tiny] taken from the scalar
-    format's {!Geomix_precision.Fpformat.scalar_unit_roundoff} and
-    {!Geomix_precision.Fpformat.scalar_min_subnormal}; [S_fp64] (the
-    identity conversion) degrades to the exact check. *)
-
-val conv_tolerance : ?safety:float -> u_low:float -> ?tiny:float -> t -> float
-(** [safety·(u_low·fro + (tiny/2)·√(rows·cols))], [safety] default 2 —
-    the error-analysis bound on the norm movement of a lawful rounding,
-    with the safety factor absorbing the binary64 rounding of the norm
-    computation itself. *)
-
-val default_safety : float
+  t -> scalar:Geomix_precision.Fpformat.scalar -> Geomix_linalg.Mat.t -> bool
+(** Conversion-tolerant verification of a tile that was rounded into
+    [scalar] since the stamp was taken: dimensions match and the
+    Frobenius norm moved by at most
+    [2·(u·fro + (d/2)·√(rows·cols))], with [u] the format's {!Geomix_precision.Fpformat.scalar_unit_roundoff} and
+    [d] its {!Geomix_precision.Fpformat.scalar_min_subnormal} — the
+    error-analysis bound on the norm movement of a lawful rounding, with
+    the safety factor absorbing the binary64 rounding of the norm
+    computation itself.  A non-finite norm (overflow to infinity in
+    transit) always fails.  [S_fp64] (the identity conversion) degrades
+    to the exact check. *)
 
 val to_string : t -> string
 (** Debug rendering. *)

@@ -28,7 +28,6 @@ type obs_state = {
 type entry = { cs : Checksum.t; snap : Mat.t option }
 
 type t = {
-  safety : float;
   snapshots : bool;
   mutex : Mutex.t;
   table : (int, entry) Hashtbl.t;
@@ -41,9 +40,8 @@ type t = {
   obs : obs_state option;
 }
 
-let create ?obs ?(snapshots = false) ?(safety = Checksum.default_safety) () =
+let create ?obs ?(snapshots = false) () =
   {
-    safety;
     snapshots;
     mutex = Mutex.create ();
     table = Hashtbl.create 64;
@@ -153,7 +151,7 @@ let derive t ~from_key ~key ~scalar ~task m =
     Atomic.incr t.n_verified;
     count_bytes t (8 * Mat.rows m * Mat.cols m);
     (match t.obs with None -> () | Some o -> Metrics.incr o.m_verified);
-    if Checksum.matches_scalar ~safety:t.safety cs ~scalar m then stamp t ~key m
+    if Checksum.matches_scalar cs ~scalar m then stamp t ~key m
     else begin
       note_detected t ~key ~task;
       corrupt t ~key ~task

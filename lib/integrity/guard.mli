@@ -25,16 +25,13 @@ type t
 val create :
   ?obs:Geomix_obs.Metrics.t ->
   ?snapshots:bool ->
-  ?safety:float ->
   unit -> t
 (** [?obs] registers the [integrity.*] counters ([stamped], [verified],
     [sdc_detected], [sdc_recovered], [violations], [hashed_bytes]) and
     narrates [integrity/sdc_detected], [integrity/sdc_recovered] (both
     [Warn]) and [integrity/corrupt] ([Error]) on its event stream.
     [?snapshots] (default [false]) keeps a private copy of every stamped
-    tile so {!restore} can repair in place; [?safety] (default
-    {!Checksum.default_safety}) scales the conversion tolerance used by
-    {!derive}. *)
+    tile so {!restore} can repair in place. *)
 
 val snapshots : t -> bool
 

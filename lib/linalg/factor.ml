@@ -68,14 +68,14 @@ let qr_thin a =
   done;
   (q, rk)
 
-let svd_jacobi ?(max_sweeps = 60) a =
+let svd_jacobi a =
   let m = Mat.rows a and n = Mat.cols a in
   let u = Mat.copy a in
   let v = Mat.identity n in
   let eps = 1e-15 in
   let converged = ref false in
   let sweeps = ref 0 in
-  while (not !converged) && !sweeps < max_sweeps do
+  while (not !converged) && !sweeps < 60 do
     converged := true;
     incr sweeps;
     for p = 0 to n - 2 do

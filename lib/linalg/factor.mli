@@ -8,10 +8,11 @@ val qr_thin : Mat.t -> Mat.t * Mat.t
     having orthonormal columns and R k×k upper triangular, A = Q·R
     (Householder, explicit Q accumulation). *)
 
-val svd_jacobi : ?max_sweeps:int -> Mat.t -> Mat.t * float array * Mat.t
+val svd_jacobi : Mat.t -> Mat.t * float array * Mat.t
 (** [svd_jacobi a] for an m×n matrix (intended small: recompression cores)
     returns (U, σ, V) with A = U·diag(σ)·Vᵀ, σ sorted descending, U m×n
-    and V n×n column-orthonormal (thin SVD; one-sided Jacobi on columns). *)
+    and V n×n column-orthonormal (thin SVD; one-sided Jacobi on columns,
+    at most 60 sweeps). *)
 
 val truncate_rank : tol:float -> float array -> int
 (** Smallest r such that the discarded tail satisfies

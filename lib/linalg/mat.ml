@@ -92,14 +92,6 @@ let add_scaled acc ~alpha x =
 
 let transpose t = init ~rows:t.cols ~cols:t.rows (fun i j -> unsafe_get t j i)
 
-let sym_from_lower t =
-  assert (t.rows = t.cols);
-  for j = 0 to t.cols - 1 do
-    for i = j + 1 to t.rows - 1 do
-      unsafe_set t j i (unsafe_get t i j)
-    done
-  done
-
 let zero_upper t =
   for j = 1 to t.cols - 1 do
     for i = 0 to Stdlib.min (j - 1) (t.rows - 1) do
@@ -115,27 +107,6 @@ let frobenius t =
     acc := !acc +. (x *. x)
   done;
   sqrt !acc
-
-let frobenius_lower t =
-  assert (t.rows = t.cols);
-  let acc = ref 0. in
-  for j = 0 to t.cols - 1 do
-    let d = unsafe_get t j j in
-    acc := !acc +. (d *. d);
-    for i = j + 1 to t.rows - 1 do
-      let x = unsafe_get t i j in
-      acc := !acc +. (2. *. x *. x)
-    done
-  done;
-  sqrt !acc
-
-let max_abs t =
-  let n = Bigarray.Array1.dim t.data in
-  let acc = ref 0. in
-  for k = 0 to n - 1 do
-    acc := Float.max !acc (Float.abs (Bigarray.Array1.unsafe_get t.data k))
-  done;
-  !acc
 
 let diff_frobenius a b =
   assert (a.rows = b.rows && a.cols = b.cols);

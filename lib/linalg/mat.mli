@@ -65,21 +65,10 @@ val add_scaled : t -> alpha:float -> t -> unit
 
 val transpose : t -> t
 
-val sym_from_lower : t -> unit
-(** Mirror the strictly lower triangle onto the upper triangle in place
-    (square matrices only). *)
-
 val zero_upper : t -> unit
 (** Clear the strictly upper triangle (for comparing lower factors). *)
 
 val frobenius : t -> float
-val frobenius_lower : t -> float
-(** Frobenius norm counting the lower triangle once and off-diagonal mass
-    twice — the norm of the full symmetric matrix represented by its lower
-    triangle. *)
-
-val max_abs : t -> float
-
 val diff_frobenius : t -> t -> float
 (** ‖a − b‖_F. *)
 

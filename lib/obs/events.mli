@@ -31,9 +31,6 @@ type level = Debug | Info | Warn | Error
 val level_name : level -> string
 (** ["debug"], ["info"], ["warn"], ["error"]. *)
 
-val level_of_string : string -> level option
-(** Case-insensitive inverse of {!level_name}. *)
-
 type event = {
   seq : int;  (** per-stream sequence number, from 0 *)
   time : float;

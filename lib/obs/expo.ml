@@ -11,9 +11,7 @@ let sanitize_char c =
 
 let sanitize name = String.map sanitize_char name
 
-let metric_name ?(namespace = "geomix") name =
-  let base = sanitize name in
-  if namespace = "" then base else namespace ^ "_" ^ base
+let metric_name name = "geomix_" ^ sanitize name
 
 let fmt_value v =
   if Float.is_nan v then "NaN"
@@ -42,11 +40,11 @@ let add_histogram buf name (h : Metrics.hist_snapshot) =
   Buffer.add_string buf (Printf.sprintf "%s_sum %s\n" name (fmt_value h.Metrics.sum));
   Buffer.add_string buf (Printf.sprintf "%s_count %d\n" name h.Metrics.count)
 
-let to_prometheus ?namespace (snap : Metrics.snapshot) =
+let to_prometheus (snap : Metrics.snapshot) =
   let buf = Buffer.create 4096 in
   List.iter
     (fun (raw_name, v) ->
-      let name = metric_name ?namespace raw_name in
+      let name = metric_name raw_name in
       match v with
       | Metrics.Counter n ->
         Buffer.add_string buf (Printf.sprintf "# TYPE %s counter\n" name);
@@ -124,15 +122,15 @@ let parse_sample_line line =
   | Some i -> (
     let name = String.sub line 0 i in
     match String.rindex_opt line '}' with
-    | None -> Error (Printf.sprintf "unclosed label set: %s" line)
-    | Some j -> (
+    | Some j when j > i -> (
       let body = String.sub line (i + 1) (j - i - 1) in
       let rest = String.trim (String.sub line (j + 1) (String.length line - j - 1)) in
       match (valid_name name, parse_labels body, parse_float rest) with
       | true, Some labels, Some value -> Ok { name; labels; value }
       | false, _, _ -> Error (Printf.sprintf "invalid metric name: %s" name)
       | _, None, _ -> Error (Printf.sprintf "invalid labels: %s" body)
-      | _, _, None -> Error (Printf.sprintf "invalid value: %s" rest)))
+      | _, _, None -> Error (Printf.sprintf "invalid value: %s" rest))
+    | _ -> Error (Printf.sprintf "unclosed label set: %s" line))
   | None -> (
     match String.index_opt line ' ' with
     | None -> Error (Printf.sprintf "no value on line: %s" line)
@@ -270,7 +268,6 @@ type snapshotter = {
   path : string;
   max_bytes : int;
   keep : int;
-  now : unit -> float;
   mutable oc : out_channel;
   mutable size : int;
   smutex : Mutex.t;
@@ -280,11 +277,10 @@ let open_append path =
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
   (oc, out_channel_length oc)
 
-let snapshotter ?(max_bytes = 1024 * 1024) ?(keep = 3) ?(now = Unix.gettimeofday)
-    ~path () =
+let snapshotter ?(max_bytes = 1024 * 1024) ?(keep = 3) ~path () =
   if max_bytes <= 0 || keep < 1 then invalid_arg "Expo.snapshotter";
   let oc, size = open_append path in
-  { path; max_bytes; keep; now; oc; size; smutex = Mutex.create () }
+  { path; max_bytes; keep; oc; size; smutex = Mutex.create () }
 
 let rotated_path t i = Printf.sprintf "%s.%d" t.path i
 
@@ -311,7 +307,10 @@ let snap t metrics =
   let line =
     Jsonlite.to_string ~indent:false
       (Jsonlite.Obj
-         [ ("t", Jsonlite.Num (t.now ())); ("metrics", Metrics.to_json metrics) ])
+         [
+           ("t", Jsonlite.Num (Unix.gettimeofday ()));
+           ("metrics", Metrics.to_json metrics);
+         ])
   in
   Mutex.lock t.smutex;
   Fun.protect
@@ -322,8 +321,6 @@ let snap t metrics =
       flush t.oc;
       t.size <- t.size + String.length line + 1;
       if t.size > t.max_bytes then rotate_locked t)
-
-let snapshotter_path t = t.path
 
 let close t =
   Mutex.lock t.smutex;

@@ -9,11 +9,11 @@
     folds into every cumulative bucket, so the [+Inf] bucket always
     equals the total observation count.  Metric names are sanitized
     (every character outside [[a-zA-Z0-9_:]] becomes [_]) and prefixed
-    with a namespace (default ["geomix"]): [serve.latency_s] exposes as
+    with the namespace ["geomix"]: [serve.latency_s] exposes as
     [geomix_serve_latency_s]. *)
 
-val to_prometheus : ?namespace:string -> Metrics.snapshot -> string
-(** Render the whole snapshot; [namespace = ""] suppresses the prefix. *)
+val to_prometheus : Metrics.snapshot -> string
+(** Render the whole snapshot. *)
 
 (** {1 Parsing and linting} *)
 
@@ -47,9 +47,7 @@ val lint : string -> string list
 
 type snapshotter
 
-val snapshotter :
-  ?max_bytes:int -> ?keep:int -> ?now:(unit -> float) -> path:string -> unit ->
-  snapshotter
+val snapshotter : ?max_bytes:int -> ?keep:int -> path:string -> unit -> snapshotter
 (** Open (append) the snapshot file.  [max_bytes] defaults to 1 MiB,
     [keep] to 3 rotated files.  @raise Invalid_argument on a non-positive
     size or [keep < 1]. *)
@@ -58,7 +56,5 @@ val snap : snapshotter -> Metrics.snapshot -> unit
 (** Append one snapshot line (flushed), rotating first the write that
     pushed the file over the limit lands in a fresh file next call.
     Thread-safe. *)
-
-val snapshotter_path : snapshotter -> string
 
 val close : snapshotter -> unit

@@ -3,12 +3,11 @@
    tens of nanoseconds of work; contention is negligible next to the task
    bodies they measure). *)
 
-type counter = { cname : string; cell : int Atomic.t }
+type counter = { cell : int Atomic.t }
 
-type gauge = { gname : string; mutable gvalue : float; gmutex : Mutex.t }
+type gauge = { mutable gvalue : float; gmutex : Mutex.t }
 
 type histogram = {
-  hname : string;
   lo : float; (* lower bound of the first bucket *)
   edges : float array; (* upper bound of each log-spaced bucket, ascending *)
   counts : int array;
@@ -48,12 +47,12 @@ let register t name make select =
 
 let counter t name =
   register t name
-    (fun () -> C { cname = name; cell = Atomic.make 0 })
+    (fun () -> C { cell = Atomic.make 0 })
     (function C c -> Some c | _ -> None)
 
 let gauge t name =
   register t name
-    (fun () -> G { gname = name; gvalue = 0.; gmutex = Mutex.create () })
+    (fun () -> G { gvalue = 0.; gmutex = Mutex.create () })
     (function G g -> Some g | _ -> None)
 
 let default_lo = 1e-6 (* 1 µs: queue waits and task bodies both land mid-range *)
@@ -71,7 +70,6 @@ let histogram ?(lo = default_lo) ?(decades = default_decades)
       in
       H
         {
-          hname = name;
           lo;
           edges;
           counts = Array.make n 0;
@@ -95,8 +93,6 @@ let add c n =
 
 let counter_value c = Atomic.get c.cell
 
-let counter_name c = c.cname
-
 (* Gauges *)
 
 let set g v =
@@ -114,8 +110,6 @@ let gauge_value g =
   let v = g.gvalue in
   Mutex.unlock g.gmutex;
   v
-
-let gauge_name g = g.gname
 
 (* Histograms *)
 
@@ -149,8 +143,6 @@ let observe h v =
 let time h f =
   let t0 = Unix.gettimeofday () in
   Fun.protect ~finally:(fun () -> observe h (Unix.gettimeofday () -. t0)) f
-
-let histogram_name h = h.hname
 
 (* Snapshots *)
 

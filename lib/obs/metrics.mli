@@ -50,21 +50,17 @@ val add : counter -> int -> unit
     monotonic). *)
 
 val counter_value : counter -> int
-val counter_name : counter -> string
 
 val set : gauge -> float -> unit
 val set_max : gauge -> float -> unit
 (** Raise the gauge to [v] if [v] is larger — peak tracking. *)
 
 val gauge_value : gauge -> float
-val gauge_name : gauge -> string
 
 val observe : histogram -> float -> unit
 val time : histogram -> (unit -> 'a) -> 'a
 (** Span timer: run the thunk, record its wall-clock duration in seconds
     (also on exception). *)
-
-val histogram_name : histogram -> string
 
 (** {1 Snapshots} *)
 

@@ -1,7 +1,7 @@
 type block =
   | Para of string
   | Table of { headers : string list; rows : string list list }
-  | Code of { lang : string; text : string }
+  | Code of string
 
 type section = {
   stitle : string;
@@ -30,9 +30,9 @@ let table t ~headers rows =
   let s = current t in
   s.blocks <- Table { headers; rows } :: s.blocks
 
-let code t ?(lang = "") text =
+let code t text =
   let s = current t in
-  s.blocks <- Code { lang; text } :: s.blocks
+  s.blocks <- Code text :: s.blocks
 
 let attach t ~key v =
   let s = current t in
@@ -68,8 +68,8 @@ let render_block buf = function
   | Table { headers; rows } ->
     render_table buf headers rows;
     Buffer.add_char buf '\n'
-  | Code { lang; text } ->
-    Buffer.add_string buf ("```" ^ lang ^ "\n");
+  | Code text ->
+    Buffer.add_string buf "```\n";
     Buffer.add_string buf text;
     if text <> "" && text.[String.length text - 1] <> '\n' then
       Buffer.add_char buf '\n';

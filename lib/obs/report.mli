@@ -23,7 +23,7 @@ val para : t -> string -> unit
 val table : t -> headers:string list -> string list list -> unit
 (** A GFM pipe table.  Rows shorter than [headers] are padded. *)
 
-val code : t -> ?lang:string -> string -> unit
+val code : t -> string -> unit
 (** A fenced code block. *)
 
 val attach : t -> key:string -> Jsonlite.t -> unit

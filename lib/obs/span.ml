@@ -6,12 +6,6 @@
 
 let id_counter = Atomic.make 0
 
-let default_trace_id () =
-  (* Process-unique, allocation-light: pid + a monotonic counter.  Trace
-     ids only need to distinguish requests within one service run and be
-     greppable across the JSONL stream. *)
-  Printf.sprintf "t%d-%d" (Unix.getpid ()) (Atomic.fetch_and_add id_counter 1)
-
 type t = {
   trace_id : string;
   request_id : string;
@@ -28,8 +22,7 @@ type t = {
   mutable busy_s : float;
 }
 
-let create ?parent ?trace_id ~request_id () =
-  let trace_id = match trace_id with Some t -> t | None -> default_trace_id () in
+let make ~parent ~trace_id ~request_id =
   {
     trace_id;
     request_id;
@@ -46,13 +39,17 @@ let create ?parent ?trace_id ~request_id () =
     busy_s = 0.;
   }
 
-let child t ~request_id =
-  create ~parent:t.span_id ~trace_id:t.trace_id ~request_id ()
+let create ~request_id =
+  (* Process-unique, allocation-light: pid + a monotonic counter.  Trace
+     ids only need to distinguish requests within one service run and be
+     greppable across the JSONL stream. *)
+  let trace_id =
+    Printf.sprintf "t%d-%d" (Unix.getpid ()) (Atomic.fetch_and_add id_counter 1)
+  in
+  make ~parent:None ~trace_id ~request_id
 
-let trace_id t = t.trace_id
-let request_id t = t.request_id
-let span_id t = t.span_id
-let parent t = t.parent
+let child t ~request_id =
+  make ~parent:(Some t.span_id) ~trace_id:t.trace_id ~request_id
 
 let locked t f =
   Mutex.lock t.mutex;

@@ -18,19 +18,13 @@
 
 type t
 
-val create : ?parent:int -> ?trace_id:string -> request_id:string -> unit -> t
-(** A fresh root span (or child, when [?parent] carries the parent's
-    {!span_id}).  [trace_id] defaults to a process-unique generated id. *)
+val create : request_id:string -> t
+(** A fresh root span under a process-unique generated trace id. *)
 
 val child : t -> request_id:string -> t
 (** A child span sharing the parent's trace id, parented to it — used for
     sub-work fanned out on behalf of a request (e.g. Monte-Carlo
     replicate waves). *)
-
-val trace_id : t -> string
-val request_id : t -> string
-val span_id : t -> int
-val parent : t -> int option
 
 (** {1 Recording} *)
 

@@ -1,6 +1,6 @@
 type result = { x : float array; fval : float; evals : int; converged : bool }
 
-let minimize ?max_evals ?(tol = 1e-9) ?(rho_begin = 0.25) ~lower ~upper ~x0 f =
+let minimize ?max_evals ?(tol = 1e-9) ~lower ~upper ~x0 f =
   let dim = Array.length x0 in
   assert (dim > 0 && Array.length lower = dim && Array.length upper = dim);
   let max_evals = match max_evals with Some m -> m | None -> 500 * dim in
@@ -14,7 +14,7 @@ let minimize ?max_evals ?(tol = 1e-9) ?(rho_begin = 0.25) ~lower ~upper ~x0 f =
   in
   let x = Array.mapi (fun i v -> clip i v) x0 in
   let fx = ref (eval x) in
-  let rho = ref (rho_begin *. min_width) in
+  let rho = ref (0.25 *. min_width) in
   let rho_end = tol *. min_width in
   let converged = ref false in
   while (not !converged) && !evals + (2 * dim) + 1 <= max_evals && !rho > rho_end do

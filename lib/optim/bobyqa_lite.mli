@@ -18,12 +18,10 @@ type result = {
 val minimize :
   ?max_evals:int ->
   ?tol:float ->
-  ?rho_begin:float ->
   lower:float array ->
   upper:float array ->
   x0:float array ->
   (float array -> float) ->
   result
-(** [rho_begin] is the initial trust radius as a fraction of the smallest
-    box width (default 0.25); [tol] the final radius (default 1e-9,
-    relative to box width). *)
+(** The initial trust radius is 0.25 of the smallest box width; [tol] is
+    the final radius (default 1e-9, relative to box width). *)

@@ -3,7 +3,7 @@ type result = { x : float array; fval : float; evals : int; converged : bool }
 let clip lower upper x =
   Array.mapi (fun i v -> Float.min upper.(i) (Float.max lower.(i) v)) x
 
-let minimize ?max_evals ?(tol = 1e-9) ?init_step ~lower ~upper ~x0 f =
+let minimize ?max_evals ?(tol = 1e-9) ~lower ~upper ~x0 f =
   let dim = Array.length x0 in
   assert (dim > 0 && Array.length lower = dim && Array.length upper = dim);
   Array.iteri (fun i lo -> assert (lo <= upper.(i))) lower;
@@ -17,11 +17,7 @@ let minimize ?max_evals ?(tol = 1e-9) ?init_step ~lower ~upper ~x0 f =
   (* Initial simplex: x0 plus a step along each coordinate, reflected
      inward when the step would leave the box. *)
   let x0 = project x0 in
-  let step i =
-    match init_step with
-    | Some s -> s
-    | None -> 0.25 *. (upper.(i) -. lower.(i))
-  in
+  let step i = 0.25 *. (upper.(i) -. lower.(i)) in
   let vertex i =
     if i = 0 then Array.copy x0
     else begin

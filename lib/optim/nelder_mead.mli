@@ -16,14 +16,13 @@ type result = {
 val minimize :
   ?max_evals:int ->
   ?tol:float ->
-  ?init_step:float ->
   lower:float array ->
   upper:float array ->
   x0:float array ->
   (float array -> float) ->
   result
 (** [minimize ~lower ~upper ~x0 f] minimises [f] over the box.  [x0] is
-    clipped into the box; [init_step] (default 0.25 of each box width)
-    sizes the initial simplex; [tol] (default 1e-9, the paper's NLOPT
+    clipped into the box; the initial simplex steps 0.25 of each box
+    width along each coordinate; [tol] (default 1e-9, the paper's NLOPT
     tolerance) bounds both the simplex size and the objective spread at
     convergence; [max_evals] defaults to 500·dim. *)

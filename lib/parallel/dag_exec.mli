@@ -68,7 +68,3 @@ val run :
 val predecessors : num_tasks:int -> successors:(int -> int list) -> int list array
 (** Invert the successor function once; each predecessor list comes back in
     ascending task order. *)
-
-val check_acyclic : num_tasks:int -> successors:(int -> int list) -> bool
-(** Kahn's algorithm on the successor function (recomputing in-degrees);
-    [true] when the graph is a DAG. *)

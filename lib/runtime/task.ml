@@ -13,12 +13,6 @@ let name = function
   | Syrk (m, k) -> Printf.sprintf "SYRK(%d,%d)" m k
   | Gemm (m, n, k) -> Printf.sprintf "GEMM(%d,%d,%d)" m n k
 
-let short_name = function
-  | Potrf _ -> "P"
-  | Trsm _ -> "T"
-  | Syrk _ -> "S"
-  | Gemm _ -> "G"
-
 let write_tile = function
   | Potrf k -> (k, k)
   | Trsm (m, k) -> (m, k)
@@ -30,14 +24,6 @@ let read_tiles = function
   | Trsm (_, k) -> [ (k, k) ]
   | Syrk (m, k) -> [ (m, k) ]
   | Gemm (m, n, k) -> [ (m, k); (n, k) ]
-
-let producer_of_read kind tile =
-  match (kind, tile) with
-  | Trsm (_, k), (k', k'') when k' = k && k'' = k -> Potrf k
-  | Syrk (m, k), (m', k') when m' = m && k' = k -> Trsm (m, k)
-  | Gemm (m, _, k), (m', k') when m' = m && k' = k -> Trsm (m, k)
-  | Gemm (_, n, k), (n', k') when n' = n && k' = k -> Trsm (n, k)
-  | _ -> invalid_arg "Task.producer_of_read: tile is not read by this task"
 
 let exec_precision ~kernel_precision = function
   | Potrf k -> kernel_precision k k

@@ -16,19 +16,12 @@ type kind =
 val name : kind -> string
 (** ["POTRF(2)"], ["GEMM(5,3,1)"], ... *)
 
-val short_name : kind -> string
-(** The paper's single letters: P, T, S, G (Fig 3). *)
-
 val write_tile : kind -> int * int
 (** The tile the task updates (its INOUT datum). *)
 
 val read_tiles : kind -> (int * int) list
 (** Tiles read from other tasks (the IN data whose communication the
     automated conversion strategy manages). *)
-
-val producer_of_read : kind -> (int * int) -> kind
-(** The task that produced a given read tile in the same iteration
-    (POTRF for TRSM's diagonal read; TRSM for GEMM/SYRK panel reads). *)
 
 val exec_precision : kernel_precision:(int -> int -> Fpformat.t) -> kind -> Fpformat.t
 (** Precision the kernel executes in, given the tile-level kernel-precision

@@ -205,7 +205,3 @@ let stats t =
     evictions = Metrics.counter_value t.evictions;
   }
 
-let hit_fraction t =
-  let s = stats t in
-  let total = s.hits + s.misses in
-  if total = 0 then 0. else float_of_int s.hits /. float_of_int total

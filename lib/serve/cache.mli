@@ -94,6 +94,3 @@ val length : t -> int
 (** Published entries currently resident. *)
 
 val stats : t -> stats
-
-val hit_fraction : t -> float
-(** [hits / (hits + misses)]; 0 before any lookup. *)

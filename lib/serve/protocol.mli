@@ -24,7 +24,6 @@ val priority_rank : priority -> int
 (** 0 (high) … 2 (low) — the admission queue orders by rank, then FIFO. *)
 
 val priority_name : priority -> string
-val priority_of_string : string -> priority option
 
 (** The problem shape: everything a request needs to (re)construct its
     covariance problem deterministically.  [locs_seed] seeds the site
@@ -44,17 +43,11 @@ type spec = {
 }
 
 val family_name : Covariance.family -> string
-val family_of_string : string -> Covariance.family option
 
 (** Body format of a [Stats] request/reply: the metrics-registry JSON
     snapshot ({!Geomix_obs.Metrics.to_json}) or the Prometheus text
     exposition ({!Geomix_obs.Expo.to_prometheus}). *)
 type stats_format = Stats_json | Stats_prom
-
-val stats_format_name : stats_format -> string
-(** ["json"] or ["prom"]. *)
-
-val stats_format_of_string : string -> stats_format option
 
 type payload =
   | Ping  (** health check — also the client's readiness barrier *)
@@ -122,7 +115,6 @@ type error_code =
   | Internal
 
 val error_code_name : error_code -> string
-val error_code_of_string : string -> error_code option
 
 type reply =
   | Pong

@@ -40,8 +40,6 @@ type t = {
   now : unit -> float;
   max_inflight : int;
   queue_capacity : int;
-  max_order : int;
-  max_replicates : int;
   faults : Geomix_fault.Fault.t option;
   retry : Geomix_fault.Retry.policy option;
   integrity : bool;
@@ -74,8 +72,7 @@ type t = {
 }
 
 let create ?obs ?(now = Unix.gettimeofday) ?(max_inflight = 4)
-    ?(queue_capacity = 16) ?(cache_capacity = 32) ?(max_order = 4096)
-    ?(max_replicates = 1024) ?faults ?retry ?(integrity = false)
+    ?(queue_capacity = 16) ?(cache_capacity = 32) ?faults ?retry ?(integrity = false)
     ?(drain_deadline_s = 5.0) ?(trace_sample = 0.) ?breaker_config ~pool () =
   if max_inflight < 1 then invalid_arg "Server.create: max_inflight must be >= 1";
   if queue_capacity < 0 then
@@ -96,8 +93,6 @@ let create ?obs ?(now = Unix.gettimeofday) ?(max_inflight = 4)
     now;
     max_inflight;
     queue_capacity;
-    max_order;
-    max_replicates;
     faults;
     retry;
     integrity;
@@ -303,15 +298,20 @@ let build_artifact (key : Cache.key) : Cache.artifact =
   in
   { Cache.locs; pmap; cmap; dag; preds }
 
+(* Admission limits: the largest accepted matrix order (also the bound on a
+   prediction's [n_new]) and the largest Monte-Carlo batch. *)
+let max_order = 4096
+let max_replicates = 1024
+
 (* The tile-count bound: the DAG and its executor allocate per task, and a
    Cholesky of NT tiles has ~NT³/6 tasks (357 760 at NT = 128), so the order
    bound alone would admit n = 4096, nb = 1 and ~10¹⁰ task slots. *)
 let max_tiles = 128
 
-let validate_spec t (s : P.spec) =
+let validate_spec (s : P.spec) =
   let finite_pos x = Float.is_finite x && x > 0. in
-  if s.P.n < 1 || s.P.n > t.max_order then
-    Error (Printf.sprintf "n must be in [1, %d]" t.max_order)
+  if s.P.n < 1 || s.P.n > max_order then
+    Error (Printf.sprintf "n must be in [1, %d]" max_order)
   else if s.P.nb < 1 || s.P.nb > s.P.n then Error "nb must be in [1, n]"
   else if (s.P.n + s.P.nb - 1) / s.P.nb > max_tiles then
     Error (Printf.sprintf "n / nb must give at most %d tiles" max_tiles)
@@ -330,18 +330,18 @@ let validate_spec t (s : P.spec) =
       Error "powexp nu must be in (0, 2]"
     | Covariance.Sqexp | Covariance.Matern | Covariance.Powexp | Covariance.Spherical -> Ok ()
 
-let validate t = function
+let validate = function
   | P.Ping | P.Health | P.Stats _ | P.Shutdown -> Ok ()
-  | P.Likelihood s -> validate_spec t s
+  | P.Likelihood s -> validate_spec s
   | P.Predict { spec; n_new; _ } ->
-    Result.bind (validate_spec t spec) (fun () ->
-        if n_new < 1 || n_new > t.max_order then
-          Error (Printf.sprintf "n_new must be in [1, %d]" t.max_order)
+    Result.bind (validate_spec spec) (fun () ->
+        if n_new < 1 || n_new > max_order then
+          Error (Printf.sprintf "n_new must be in [1, %d]" max_order)
         else Ok ())
   | P.Mc_batch { spec; replicates } ->
-    Result.bind (validate_spec t spec) (fun () ->
-        if replicates < 1 || replicates > t.max_replicates then
-          Error (Printf.sprintf "replicates must be in [1, %d]" t.max_replicates)
+    Result.bind (validate_spec spec) (fun () ->
+        if replicates < 1 || replicates > max_replicates then
+          Error (Printf.sprintf "replicates must be in [1, %d]" max_replicates)
         else Ok ())
 
 (* {2 Request execution} *)
@@ -383,7 +383,7 @@ let make_trace t (req : P.request) =
   then
     Some
       {
-        span = Span.create ~request_id:req.P.id ();
+        span = Span.create ~request_id:req.P.id;
         prof = Profile.collector ();
         art = None;
         t_nb = 0;
@@ -706,7 +706,7 @@ let handle_traced t ?(on_progress = fun ~completed:_ ~total:_ -> ())
         ("op", Events.fstr (P.op_name payload));
         ("priority", Events.fstr (P.priority_name req.P.priority));
       ];
-    match validate t payload with
+    match validate payload with
     | Error message ->
       Metrics.incr t.m_errors;
       emit ~level:Events.Warn t "bad_request"
@@ -840,8 +840,12 @@ let install_drain_signals () =
     (try Sys.set_signal Sys.sigint h with Invalid_argument _ | Sys_error _ -> ())
   end
 
-let serve_unix t ~path ?(backlog = 64) ?max_requests ?stats_path ?telemetry
-    ?(telemetry_interval_s = 1.0) () =
+(* The listen queue length, and the period of [?telemetry]'s snapshot lines
+   on the injected clock. *)
+let backlog = 64
+let telemetry_interval_s = 1.0
+
+let serve_unix t ~path ?max_requests ?stats_path ?telemetry () =
   (* A client gone mid-stream must surface as Sys_error (EPIPE) in
      [try_write], not deliver a process-killing SIGPIPE. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore

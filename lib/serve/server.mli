@@ -80,8 +80,6 @@ val create :
   ?max_inflight:int ->
   ?queue_capacity:int ->
   ?cache_capacity:int ->
-  ?max_order:int ->
-  ?max_replicates:int ->
   ?faults:Geomix_fault.Fault.t ->
   ?retry:Geomix_fault.Retry.policy ->
   ?integrity:bool ->
@@ -92,12 +90,12 @@ val create :
   unit ->
   t
 (** Defaults: wall clock, 4 in-flight slots, 16 queue entries, cache
-    capacity 32, [max_order] 4096 (largest accepted matrix order),
-    [max_replicates] 1024; no fault plan, no retry policy, integrity
-    guards off, a 5 s drain deadline, [trace_sample = 0] (per-request
-    tracing off) and {!Breaker.default_config}.  Whatever [max_order], a
-    request of more than 128 tiles ([⌈n/nb⌉ > 128]) is rejected as
-    [Bad_request].
+    capacity 32; no fault plan, no retry policy, integrity guards off, a
+    5 s drain deadline, [trace_sample = 0] (per-request tracing off) and
+    {!Breaker.default_config}.  Admission rejects as [Bad_request] a
+    matrix order or prediction size [n_new] above 4096, a Monte-Carlo
+    batch above 1024 replicates, and a request of more than 128 tiles
+    ([⌈n/nb⌉ > 128]).
     @raise Invalid_argument when [max_inflight < 1], [queue_capacity < 0],
     [drain_deadline_s] is negative or non-finite, [trace_sample] is
     outside [0, 1], or the breaker config is invalid. *)
@@ -216,11 +214,9 @@ val notify_signal : unit -> unit
 val serve_unix :
   t ->
   path:string ->
-  ?backlog:int ->
   ?max_requests:int ->
   ?stats_path:string ->
   ?telemetry:Geomix_obs.Expo.snapshotter ->
-  ?telemetry_interval_s:float ->
   unit ->
   outcome
 (** Bind [path] (an existing socket file is replaced), accept one thread
@@ -245,9 +241,8 @@ val serve_unix :
     closes — a scrape endpoint independent of the framed protocol and
     of admission, so it keeps answering while the server is saturated
     or draining.  [?telemetry] appends one compact registry-snapshot
-    JSON line per [telemetry_interval_s] (default 1 s, on the injected
-    clock) to the rolling snapshotter, plus a terminal line when the
-    run ends; rotation is the snapshotter's
-    ({!Geomix_obs.Expo.snapshotter}).  Both surfaces are removed/closed
+    JSON line per second (on the injected clock) to the rolling
+    snapshotter, plus a terminal line when the run ends; rotation is the
+    snapshotter's ({!Geomix_obs.Expo.snapshotter}).  Both surfaces are removed/closed
     by their owners — the stats socket file on the way out, the
     snapshotter by its creator. *)

@@ -6,27 +6,4 @@ let squarest_grid n =
   let p = best (int_of_float (sqrt (float_of_int n))) in
   { p; q = n / p }
 
-let make_grid ~p ~q =
-  assert (p > 0 && q > 0);
-  { p; q }
-
 let owner g ~i ~j = ((i mod g.p) * g.q) + (j mod g.q)
-
-let local_tiles g ~rank ~nt =
-  let acc = ref [] in
-  for i = nt - 1 downto 0 do
-    for j = i downto 0 do
-      if owner g ~i ~j = rank then acc := (i, j) :: !acc
-    done
-  done;
-  !acc
-
-let tile_counts g ~nt =
-  let counts = Array.make (g.p * g.q) 0 in
-  for i = 0 to nt - 1 do
-    for j = 0 to i do
-      let r = owner g ~i ~j in
-      counts.(r) <- counts.(r) + 1
-    done
-  done;
-  counts

@@ -10,13 +10,5 @@ val squarest_grid : int -> grid
 (** [squarest_grid n] is the P × Q factorisation of [n] with P·Q = n,
     P ≤ Q, and P maximal — the paper's process-grid rule. *)
 
-val make_grid : p:int -> q:int -> grid
-
 val owner : grid -> i:int -> j:int -> int
 (** Block-cyclic owner rank of tile (i, j): rank = (i mod P)·Q + (j mod Q). *)
-
-val local_tiles : grid -> rank:int -> nt:int -> (int * int) list
-(** All lower-triangle tile coordinates owned by [rank] (row-major). *)
-
-val tile_counts : grid -> nt:int -> int array
-(** Lower-triangle tile count per rank — the load-balance measure. *)

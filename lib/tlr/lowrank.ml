@@ -75,11 +75,6 @@ let of_dense ~tol a =
   let cap = Stdlib.max 1 (Stdlib.min (Mat.rows a) (Mat.cols a) / 2) in
   aca ~tol ~max_rank:cap a
 
-let of_dense_exn ~tol ~max_rank a =
-  match aca ~tol ~max_rank a with
-  | Some t -> t
-  | None -> invalid_arg "Lowrank.of_dense_exn: tolerance not reached within max_rank"
-
 let recompress ~tol t =
   let k = rank t in
   if k <= 1 then t

@@ -25,10 +25,6 @@ val of_dense : tol:float -> Mat.t -> t option
     the required rank exceeds [min(m,n)/2] — the tile is not worth
     compressing (the caller keeps it dense). *)
 
-val of_dense_exn : tol:float -> max_rank:int -> Mat.t -> t
-(** Like {!of_dense} with an explicit rank cap; raises
-    [Invalid_argument] when the tolerance cannot be met within it. *)
-
 val recompress : tol:float -> t -> t
 (** QR–SVD recompression to the tolerance (never increases the rank). *)
 

@@ -19,13 +19,13 @@ let rename_durable ~src ~dst =
   Sys.rename src dst;
   fsync_dir (Filename.dirname dst)
 
-let write_atomic ?(fsync = true) ?(temp_suffix = ".tmp") ~path f =
-  let tmp = path ^ temp_suffix in
+let write_atomic ~path f =
+  let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
   (match
      f oc;
      flush oc;
-     if fsync then fsync_fd (Unix.descr_of_out_channel oc)
+     fsync_fd (Unix.descr_of_out_channel oc)
    with
   | () -> close_out oc
   | exception e ->
@@ -33,7 +33,7 @@ let write_atomic ?(fsync = true) ?(temp_suffix = ".tmp") ~path f =
     (try Sys.remove tmp with Sys_error _ -> ());
     raise e);
   match Sys.rename tmp path with
-  | () -> if fsync then fsync_dir (Filename.dirname path)
+  | () -> fsync_dir (Filename.dirname path)
   | exception e ->
     (try Sys.remove tmp with Sys_error _ -> ());
     raise e

@@ -16,16 +16,12 @@ val fsync_dir : string -> unit
     directory entries durable.  Errors from platforms that refuse to
     fsync directories are swallowed. *)
 
-val write_atomic :
-  ?fsync:bool -> ?temp_suffix:string -> path:string -> (out_channel -> unit) ->
-  unit
+val write_atomic : path:string -> (out_channel -> unit) -> unit
 (** [write_atomic ~path f] writes the file image produced by [f] into
-    [path ^ temp_suffix] (default [".tmp"]), flushes and (by default)
-    fsyncs it, atomically renames it over [path], and fsyncs the parent
-    directory.  On any exception from [f] or the syscalls the temp file
-    is unlinked and the exception re-raised; [path] is left untouched.
-    [?fsync:false] skips both fsyncs (for tests that only need
-    atomicity). *)
+    [path ^ ".tmp"], flushes and fsyncs it, atomically renames it over
+    [path], and fsyncs the parent directory.  On any exception from [f]
+    or the syscalls the temp file is unlinked and the exception
+    re-raised; [path] is left untouched. *)
 
 val rename_durable : src:string -> dst:string -> unit
 (** Atomic [Sys.rename src dst] followed by an fsync of [dst]'s parent

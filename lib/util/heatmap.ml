@@ -20,11 +20,6 @@ let counts t ~cell =
   done;
   (counts, !total)
 
-let percentages t ~cell =
-  let counts, total = counts t ~cell in
-  let denom = Stdlib.max total 1 in
-  Array.map (fun c -> float_of_int c /. float_of_int denom) counts
-
 let render t ~cell =
   let buf = Buffer.create ((t.nt + 2) * (t.nt + 2)) in
   for row = 0 to t.nt - 1 do

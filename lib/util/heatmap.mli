@@ -15,6 +15,3 @@ val render : t -> cell:(row:int -> col:int -> int option) -> string
     leaves a blank, e.g. for the strictly upper triangle), followed by a
     legend giving the percentage of populated cells per category — the same
     annotation as the paper's Fig 7. *)
-
-val percentages : t -> cell:(row:int -> col:int -> int option) -> float array
-(** Fraction of populated cells per category index. *)

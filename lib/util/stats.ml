@@ -11,8 +11,6 @@ let variance xs =
     acc /. float_of_int (n - 1)
   end
 
-let std xs = sqrt (variance xs)
-
 let min_max xs =
   assert (Array.length xs > 0);
   Array.fold_left
@@ -42,18 +40,6 @@ let five_number xs =
 
 let pp_five_number ppf f =
   Format.fprintf ppf "%.4g | %.4g [%.4g] %.4g | %.4g" f.low f.q1 f.med f.q3 f.high
-
-let rmse ~actual ~reference =
-  let acc =
-    Array.fold_left
-      (fun acc x -> acc +. ((x -. reference) *. (x -. reference)))
-      0. actual
-  in
-  sqrt (acc /. float_of_int (Array.length actual))
-
-let mean_abs_dev ~actual ~reference =
-  let acc = Array.fold_left (fun acc x -> acc +. Float.abs (x -. reference)) 0. actual in
-  acc /. float_of_int (Array.length actual)
 
 let histogram ~bins xs =
   assert (bins > 0);

@@ -1,17 +1,11 @@
 (** Descriptive statistics used by the Monte-Carlo accuracy studies and the
-    benchmark reporting (boxplot five-number summaries, quantiles, errors). *)
+    benchmark reporting (boxplot five-number summaries, quantiles). *)
 
 val mean : float array -> float
 (** Arithmetic mean. Requires a non-empty array. *)
 
 val variance : float array -> float
 (** Unbiased sample variance (n-1 denominator); 0 for arrays of length < 2. *)
-
-val std : float array -> float
-(** Sample standard deviation. *)
-
-val min_max : float array -> float * float
-(** Smallest and largest element. Requires a non-empty array. *)
 
 val quantile : float array -> float -> float
 (** [quantile xs p] for [p] in [\[0,1\]], linear interpolation between order
@@ -32,11 +26,6 @@ val five_number : float array -> five_number
 
 val pp_five_number : Format.formatter -> five_number -> unit
 (** Renders as [min | q1 [med] q3 | max] with 4 significant digits. *)
-
-val rmse : actual:float array -> reference:float -> float
-(** Root-mean-square deviation of samples from a scalar reference value. *)
-
-val mean_abs_dev : actual:float array -> reference:float -> float
 
 val histogram : bins:int -> float array -> (float * float * int) array
 (** [histogram ~bins xs] is an array of [(lo, hi, count)] with equal-width

@@ -33,6 +33,25 @@ let of_dtd g =
 let predecessors g =
   Geomix_parallel.Dag_exec.predecessors ~num_tasks:g.num_tasks ~successors:g.successors
 
+let check_acyclic ~num_tasks ~successors =
+  let indeg = Array.make num_tasks 0 in
+  for id = 0 to num_tasks - 1 do
+    List.iter (fun s -> indeg.(s) <- indeg.(s) + 1) (successors id)
+  done;
+  let queue = Queue.create () in
+  Array.iteri (fun id d -> if d = 0 then Queue.push id queue) indeg;
+  let visited = ref 0 in
+  while not (Queue.is_empty queue) do
+    let id = Queue.pop queue in
+    incr visited;
+    List.iter
+      (fun s ->
+        indeg.(s) <- indeg.(s) - 1;
+        if indeg.(s) = 0 then Queue.push s queue)
+      (successors id)
+  done;
+  !visited = num_tasks
+
 (* A linearization is valid iff it is a permutation of 0..num_tasks-1 in
    which every task precedes all of its successors. *)
 let is_topological g order =

@@ -26,14 +26,13 @@ val of_dtd : Dtd.t -> graph
 val predecessors : graph -> int list array
 (** Inverted successor function; lists in ascending task order. *)
 
+val check_acyclic : num_tasks:int -> successors:(int -> int list) -> bool
+(** Kahn's algorithm on the successor function (recomputing in-degrees);
+    [true] when the graph is a DAG. *)
+
 val is_topological : graph -> int array -> bool
 (** [true] iff the array is a permutation of all task ids in which every
     task precedes all of its successors. *)
-
-val schedule_with : pick:(int array -> int -> int) -> graph -> int array
-(** One pass of the virtual executor.  [pick ready n] selects an index in
-    [0, n) of the ready array; the pick policy is the only source of
-    nondeterminism.  @raise Invalid_argument on a cyclic graph. *)
 
 val random_schedule : graph -> seed:int -> int array
 (** The linearization obtained by resolving every ready-set choice with a

@@ -4,27 +4,12 @@
 
 module Fpformat = Geomix_precision.Fpformat
 
-val comm_reference :
-  Geomix_core.Precision_map.t ->
-  int ->
-  int ->
-  Fpformat.scalar * Geomix_core.Comm_map.strategy
-(** Deliberately naive O(NT) per tile (O(NT³) total) reimplementation of
-    Algorithm 2 for broadcast tile (i, j), i ≥ j: enumerate {e all}
-    consumer kernels, take the highest input format any of them needs, cap
-    at the storage format, STC iff strictly below storage. *)
-
-val comm_mismatches :
-  Geomix_core.Precision_map.t ->
-  (int
-  * int
-  * (Fpformat.scalar * Geomix_core.Comm_map.strategy)
-  * (Fpformat.scalar * Geomix_core.Comm_map.strategy))
-  list
-(** Tiles where [Comm_map.compute] disagrees with [comm_reference]:
-    (i, j, expected, got).  Empty on a correct implementation. *)
-
 val comm_map_agrees : Geomix_core.Precision_map.t -> bool
+(** [Comm_map.compute] agrees on every broadcast tile with a deliberately
+    naive O(NT) per tile (O(NT³) total) reimplementation of Algorithm 2:
+    for tile (i, j), i ≥ j, enumerate {e all} consumer kernels, take the
+    highest input format any of them needs, cap at the storage format,
+    STC iff strictly below storage. *)
 
 val residual_bound : ?c:float -> pmap:Geomix_core.Precision_map.t -> Geomix_tile.Tiled.t -> float
 (** Higham–Mary-style bound on the relative Cholesky residual

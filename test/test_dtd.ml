@@ -1,7 +1,6 @@
 module Dtd = Geomix_verify.Dtd
 module Task = Geomix_runtime.Task
 module Cholesky_dag = Geomix_runtime.Cholesky_dag
-module Dag_exec = Geomix_parallel.Dag_exec
 module Pool = Geomix_parallel.Pool
 module Mat = Geomix_linalg.Mat
 module Check = Geomix_linalg.Check
@@ -92,7 +91,7 @@ let test_graph_acyclic () =
     ignore (Dtd.insert g ~name:"t" ~reads ~writes (fun () -> ()))
   done;
   Alcotest.(check bool) "acyclic" true
-    (Dag_exec.check_acyclic ~num_tasks:(Dtd.num_tasks g) ~successors:(Dtd.successors g))
+    (Explore.check_acyclic ~num_tasks:(Dtd.num_tasks g) ~successors:(Dtd.successors g))
 
 let test_in_degree_consistency () =
   let rng = Rng.create ~seed:4 in

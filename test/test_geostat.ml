@@ -29,7 +29,6 @@ let test_locations_in_domain () =
       (Locations.jittered_grid_2d ~rng:r ~n:100, 2);
       (Locations.jittered_grid_3d ~rng:r ~n:64, 3);
       (Locations.uniform_2d ~rng:r ~n:50, 2);
-      (Locations.uniform_3d ~rng:r ~n:50, 3);
     ]
 
 let test_locations_count () =

@@ -83,9 +83,7 @@ let test_checksum_nonfinite_fails () =
   let bad = Mat.copy m in
   Mat.set bad 1 2 Float.nan;
   Alcotest.(check bool) "NaN in transit fails the fingerprint" false
-    (Checksum.matches_converted
-       ~u_low:(Fp.scalar_unit_roundoff Fp.S_fp16)
-       cs bad)
+    (Checksum.matches_scalar cs ~scalar:Fp.S_fp16 bad)
 
 (* Guard *)
 

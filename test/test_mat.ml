@@ -44,16 +44,6 @@ let test_frobenius () =
   let m = Mat.of_arrays [| [| 3.; 0. |]; [| 0.; 4. |] |] in
   Alcotest.(check (float 1e-12)) "frobenius" 5. (Mat.frobenius m)
 
-let test_frobenius_lower () =
-  (* Lower triangle [ [2,0]; [1,3] ] represents symmetric [[2,1],[1,3]]:
-     ‖·‖_F = sqrt(4+1+1+9) = sqrt 15. *)
-  let m = Mat.of_arrays [| [| 2.; 99. |]; [| 1.; 3. |] |] in
-  Alcotest.(check (float 1e-12)) "sym norm" (sqrt 15.) (Mat.frobenius_lower m)
-
-let test_max_abs () =
-  let m = Mat.of_arrays [| [| -7.; 2. |] |] in
-  Alcotest.(check (float 0.)) "max abs" 7. (Mat.max_abs m)
-
 let test_scale_add () =
   let m = Mat.of_arrays [| [| 1.; 2. |] |] in
   Mat.scale m 2.;
@@ -68,10 +58,8 @@ let test_matvec_trans () =
   let m = Mat.of_arrays [| [| 1.; 2. |]; [| 3.; 4. |] |] in
   Alcotest.(check (array (float 1e-12))) "Aᵀx" [| 7.; 10. |] (Mat.matvec_trans m [| 1.; 2. |])
 
-let test_sym_from_lower_zero_upper () =
+let test_zero_upper () =
   let m = Mat.of_arrays [| [| 1.; 9. |]; [| 2.; 3. |] |] in
-  Mat.sym_from_lower m;
-  Alcotest.(check (float 0.)) "mirrored" 2. (Mat.get m 0 1);
   Mat.zero_upper m;
   Alcotest.(check (float 0.)) "cleared" 0. (Mat.get m 0 1);
   Alcotest.(check (float 0.)) "lower kept" 2. (Mat.get m 1 0)
@@ -147,12 +135,10 @@ let () =
           Alcotest.test_case "identity" `Quick test_identity;
           Alcotest.test_case "transpose" `Quick test_transpose;
           Alcotest.test_case "frobenius" `Quick test_frobenius;
-          Alcotest.test_case "frobenius lower" `Quick test_frobenius_lower;
-          Alcotest.test_case "max_abs" `Quick test_max_abs;
           Alcotest.test_case "scale/add" `Quick test_scale_add;
           Alcotest.test_case "matvec" `Quick test_matvec;
           Alcotest.test_case "matvec trans" `Quick test_matvec_trans;
-          Alcotest.test_case "sym/zero upper" `Quick test_sym_from_lower_zero_upper;
+          Alcotest.test_case "sym/zero upper" `Quick test_zero_upper;
           Alcotest.test_case "round inplace" `Quick test_round_inplace;
           Alcotest.test_case "rel diff" `Quick test_rel_diff;
           Alcotest.test_case "blocks" `Quick test_blocks;

@@ -580,7 +580,12 @@ let test_bus_non_finite_payload () =
    inserted or deleted bytes, or cut short, must decode to [Ok] or
    [Error] without raising, and [read_jsonl] must account for every
    non-blank line as either an intact event or a skipped one. *)
-type mutation = Flip of int * int | Insert of int * char | Delete of int | Truncate of int
+type mutation =
+  | Flip of int * int
+  | Insert of int * char
+  | Delete of int
+  | Truncate of int
+  | Rotate of int
 
 let gen_jsonl_mutated =
   let open QCheck.Gen in
@@ -627,6 +632,9 @@ let apply_mutation s m =
       let i = i mod n in
       String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
     | Truncate i -> String.sub s 0 (i mod n)
+    | Rotate i ->
+      let i = i mod n in
+      String.sub s i (n - i) ^ String.sub s 0 i
 
 let prop_jsonl_mutations_are_typed =
   QCheck.Test.make ~count:300 ~name:"mutated jsonl never raises"
@@ -652,6 +660,51 @@ let prop_jsonl_mutations_are_typed =
           in
           intact + skipped
           = List.length (List.filter (fun l -> String.trim l <> "") lines)))
+
+(* The same byte mutations for the other parsers of outside input, plus a
+   rotation (which can carry a closing delimiter ahead of its opener), with
+   inserted bytes biased towards each format's structural characters so
+   the damage lands where the parser branches. *)
+let gen_mutations structural =
+  let open QCheck.Gen in
+  let byte = oneof [ oneofl structural; char ] in
+  list_size (int_range 1 6)
+    (oneof
+       [
+         map2 (fun i m -> Flip (i, m)) nat (int_range 1 255);
+         map2 (fun i c -> Insert (i, c)) nat byte;
+         map (fun i -> Delete i) nat;
+         map (fun i -> Truncate i) nat;
+         map (fun i -> Rotate i) nat;
+       ])
+
+let rec gen_json depth =
+  let open QCheck.Gen in
+  let text = string_size ~gen:(oneof [ printable; char ]) (int_range 0 8) in
+  let leaf =
+    oneof
+      [
+        return J.Null;
+        map (fun b -> J.Bool b) bool;
+        map (fun x -> J.Num x) (oneofl [ 0.; -1.5; 1e-300; 6.02e23; 42. ]);
+        map (fun s -> J.Str s) text;
+      ]
+  in
+  if depth = 0 then leaf
+  else
+    let elems = list_size (int_range 0 3) (gen_json (depth - 1)) in
+    let members = list_size (int_range 0 3) (pair text (gen_json (depth - 1))) in
+    oneof [ leaf; map (fun l -> J.Arr l) elems; map (fun l -> J.Obj l) members ]
+
+let prop_json_mutations_are_typed =
+  QCheck.Test.make ~count:300 ~name:"mutated json never raises"
+    (QCheck.make
+       QCheck.Gen.(
+         triple (gen_json 3) bool
+           (gen_mutations [ '{'; '}'; '['; ']'; '"'; ','; ':'; '\\'; '-'; 'e'; '.'; 'u' ])))
+    (fun (json, indent, mutations) ->
+      let text = List.fold_left apply_mutation (J.to_string ~indent json) mutations in
+      match J.of_string text with Ok _ | Error _ -> true)
 
 let test_bus_env_level () =
   let restore = Sys.getenv_opt "GEOMIX_LOG" in
@@ -748,7 +801,7 @@ let test_factorize_feeds_every_sink_once () =
       let profile = Profile.collector () in
       let obs = M.create () in
       let ring = E.ring ~capacity:4096 (M.events obs) in
-      let span = Span.create ~request_id:"sinks" () in
+      let span = Span.create ~request_id:"sinks" in
       let a =
         Tiled.init ~n:(nt * nb) ~nb (fun i j ->
           (if i = j then 1.0 else 0.) +. exp (-0.05 *. float_of_int (abs (i - j))))
@@ -878,6 +931,27 @@ let test_expo_roundtrip () =
     | Some s -> Alcotest.(check (float 0.)) "+Inf bucket = count" 5. s.Expo.value
     | None -> Alcotest.fail "+Inf bucket missing")
 
+(* Mutations land inside one line of a valid exposition: the parser and
+   the linter both work line by line. *)
+let prop_expo_mutations_are_typed =
+  let lines =
+    String.split_on_char '\n' (Expo.to_prometheus (M.snapshot (populated_registry ())))
+  in
+  QCheck.Test.make ~count:300 ~name:"mutated exposition never raises"
+    (QCheck.make
+       QCheck.Gen.(pair nat (gen_mutations [ '{'; '}'; '"'; '='; ','; ' '; '\n'; '#' ])))
+    (fun (k, mutations) ->
+      let k = k mod List.length lines in
+      let text =
+        String.concat "\n"
+          (List.mapi
+             (fun i l -> if i = k then List.fold_left apply_mutation l mutations else l)
+             lines)
+      in
+      (match Expo.parse text with Ok _ | Error _ -> ());
+      ignore (Expo.lint text : string list);
+      true)
+
 let test_expo_lint_rejects_damage () =
   let t = populated_registry () in
   let body = Expo.to_prometheus (M.snapshot t) in
@@ -893,7 +967,6 @@ let test_snapshotter_rotation () =
   let path = Filename.concat dir "telemetry.jsonl" in
   let t = populated_registry () in
   let sink = Expo.snapshotter ~max_bytes:256 ~keep:2 ~path () in
-  Alcotest.(check string) "path accessor" path (Expo.snapshotter_path sink);
   for _ = 1 to 12 do
     Expo.snap sink (M.snapshot t)
   done;
@@ -951,7 +1024,7 @@ let test_metrics_json_roundtrip () =
     | _ -> Alcotest.fail "histogram survives")
 
 let test_span_accumulation_and_json () =
-  let sp = Span.create ~request_id:"req-1" () in
+  let sp = Span.create ~request_id:"req-1" in
   Span.note_transfer sp ~prec:"FP32" ~bytes:400 ~fp64_bytes:800;
   Span.note_transfer sp ~prec:"FP64" ~bytes:800 ~fp64_bytes:800;
   Span.note_transfer sp ~bytes:100 ~fp64_bytes:100;
@@ -972,11 +1045,11 @@ let test_span_accumulation_and_json () =
     && List.assoc_opt "FP64" s.Span.s_by_precision = Some 800);
   (* Children share the trace, parent linkage survives the codec. *)
   let child = Span.child sp ~request_id:"req-1/mc" in
-  Alcotest.(check string) "child shares trace id" (Span.trace_id sp)
-    (Span.trace_id child);
   let cs = Span.summary child in
+  Alcotest.(check string) "child shares trace id" s.Span.s_trace_id
+    cs.Span.s_trace_id;
   Alcotest.(check bool) "child parented" true
-    (cs.Span.s_parent = Some (Span.span_id sp));
+    (cs.Span.s_parent = Some s.Span.s_span_id);
   match Span.summary_of_json (Span.summary_to_json s) with
   | Ok s' -> Alcotest.(check bool) "summary json round-trip" true (s = s')
   | Error m -> Alcotest.failf "summary_of_json: %s" m
@@ -1004,6 +1077,9 @@ let () =
           Alcotest.test_case "control chars and unicode" `Quick
             test_jsonlite_control_and_unicode;
           Alcotest.test_case "non-finite numbers" `Quick test_jsonlite_non_finite;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 0x750B |])
+            prop_json_mutations_are_typed;
         ] );
       ( "telemetry bus",
         [
@@ -1038,6 +1114,9 @@ let () =
           Alcotest.test_case "prometheus round-trip" `Quick test_expo_roundtrip;
           Alcotest.test_case "lint rejects damage" `Quick
             test_expo_lint_rejects_damage;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 0xE790 |])
+            prop_expo_mutations_are_typed;
           Alcotest.test_case "snapshotter rotation" `Quick
             test_snapshotter_rotation;
           Alcotest.test_case "metrics json round-trip" `Quick

@@ -233,10 +233,10 @@ let test_dag_exec_isolation_without_job () =
 
 let test_check_acyclic () =
   Alcotest.(check bool) "chain is acyclic" true
-    (Dag_exec.check_acyclic ~num_tasks:5 ~successors:(fun id ->
+    (Explore.check_acyclic ~num_tasks:5 ~successors:(fun id ->
        if id + 1 < 5 then [ id + 1 ] else []));
   Alcotest.(check bool) "2-cycle detected" false
-    (Dag_exec.check_acyclic ~num_tasks:2 ~successors:(fun id -> [ 1 - id ]))
+    (Explore.check_acyclic ~num_tasks:2 ~successors:(fun id -> [ 1 - id ]))
 
 (* {2 Job-scoped submission: the request server's isolation contract} *)
 

@@ -239,6 +239,77 @@ let test_framing_roundtrip () =
       | Ok j -> Alcotest.(check bool) "second frame" true (same (J.Obj [ ("k", J.Num 7.) ]) j)
       | Error m -> Alcotest.failf "read failed: %s" m)
 
+(* Byte-mutation fuzzing of the frame reader: a stream of valid request
+   frames with flipped, inserted or deleted bytes (length headers
+   included), cut short or rotated, must read as [Ok] or [Error] frame by
+   frame until the stream ends, and every frame that does decode must go
+   through the request and frame decoders without raising. *)
+type mutation =
+  | Flip of int * int
+  | Insert of int * char
+  | Delete of int
+  | Truncate of int
+  | Rotate of int
+
+let apply_mutation s m =
+  let n = String.length s in
+  if n = 0 then s
+  else
+    match m with
+    | Flip (i, mask) ->
+      let i = i mod n in
+      String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor mask) else c) s
+    | Insert (i, c) ->
+      let i = i mod (n + 1) in
+      String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+    | Delete i ->
+      let i = i mod n in
+      String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+    | Truncate i -> String.sub s 0 (i mod n)
+    | Rotate i ->
+      let i = i mod n in
+      String.sub s i (n - i) ^ String.sub s 0 i
+
+let gen_mutated_frames =
+  let open QCheck.Gen in
+  let byte = oneof [ oneofl [ '{'; '}'; '['; ']'; '"'; ','; ':'; '\x00'; '\xff' ]; char ] in
+  let mutation =
+    oneof
+      [
+        map2 (fun i m -> Flip (i, m)) nat (int_range 1 255);
+        map2 (fun i c -> Insert (i, c)) nat byte;
+        map (fun i -> Delete i) nat;
+        map (fun i -> Truncate i) nat;
+        map (fun i -> Rotate i) nat;
+      ]
+  in
+  pair (list_size (int_range 1 3) qcheck_request_gen) (list_size (int_range 1 6) mutation)
+
+let prop_frame_mutations_are_typed =
+  QCheck.Test.make ~count:300 ~name:"mutated frames never raise"
+    (QCheck.make gen_mutated_frames) (fun (reqs, mutations) ->
+      let stream =
+        List.fold_left apply_mutation
+          (String.concat ""
+             (List.map (fun r -> P.frame_to_string (P.request_to_json r)) reqs))
+          mutations
+      in
+      let path = Filename.temp_file "geomix_fuzz" ".frames" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Out_channel.with_open_bin path (fun oc -> output_string oc stream);
+          In_channel.with_open_bin path (fun ic ->
+              let rec drain () =
+                match P.read_frame ic with
+                | Error _ -> true
+                | Ok json ->
+                  (match P.request_of_json json with Ok _ | Error _ -> ());
+                  (match P.frame_of_json json with Ok _ | Error _ -> ());
+                  drain ()
+              in
+              drain ())))
+
 let test_framing_eof_and_oversize () =
   with_pipe (fun ic oc ->
       close_out oc;
@@ -566,7 +637,13 @@ let test_validation () =
       expect_bad (P.Likelihood { (spec ~family:Covariance.Matern ()) with P.nu = -1. });
       expect_bad (P.Likelihood { (spec ~family:Covariance.Powexp ()) with P.nu = 3. });
       expect_bad (P.Predict { spec = spec (); n_new = 0; pred_seed = 1 });
-      expect_bad (P.Mc_batch { spec = spec (); replicates = 0 }))
+      expect_bad (P.Mc_batch { spec = spec (); replicates = 0 });
+      (* The upper admission limits: matrix order and prediction size 4096,
+         batch size 1024.  4097 sites at nb = 64 are 65 tiles, within the
+         tile bound, so only the order limit rejects them. *)
+      expect_bad (P.Likelihood { (spec ()) with P.n = 4097; nb = 64 });
+      expect_bad (P.Predict { spec = spec (); n_new = 4097; pred_seed = 1 });
+      expect_bad (P.Mc_batch { spec = spec (); replicates = 1025 }))
 
 (* {2 Socket front end} *)
 
@@ -1256,6 +1333,9 @@ let () =
           Alcotest.test_case "framing round-trips" `Quick test_framing_roundtrip;
           Alcotest.test_case "framing eof and oversize" `Quick
             test_framing_eof_and_oversize;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 0xF4A3 |])
+            prop_frame_mutations_are_typed;
         ] );
       ( "admission",
         [

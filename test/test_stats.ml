@@ -12,12 +12,10 @@ let test_variance () =
   check_f "variance" 3.7 (Stats.variance [| 1.; 2.; 3.; 4.; 6. |]);
   check_f "singleton variance" 0. (Stats.variance [| 5. |])
 
-let test_std () = check_f "std" (sqrt 2.) (Stats.std [| 1.; 3. |])
-
 let test_min_max () =
-  let lo, hi = Stats.min_max [| 3.; -1.; 7.; 2. |] in
-  check_f "min" (-1.) lo;
-  check_f "max" 7. hi
+  let f = Stats.five_number [| 3.; -1.; 7.; 2. |] in
+  check_f "min" (-1.) f.Stats.low;
+  check_f "max" 7. f.Stats.high
 
 let test_median_odd () = check_f "median odd" 3. (Stats.median [| 5.; 1.; 3. |])
 let test_median_even () = check_f "median even" 2.5 (Stats.median [| 4.; 1.; 2.; 3. |])
@@ -45,13 +43,6 @@ let test_five_number () =
   check_f "q3" 4. f.Stats.q3;
   check_f "high" 5. f.Stats.high
 
-let test_rmse () =
-  check_f "rmse" 1. (Stats.rmse ~actual:[| 2.; 0. |] ~reference:1.);
-  check_f "rmse zero" 0. (Stats.rmse ~actual:[| 1.; 1. |] ~reference:1.)
-
-let test_mean_abs_dev () =
-  check_f "mad" 1. (Stats.mean_abs_dev ~actual:[| 2.; 0. |] ~reference:1.)
-
 let test_histogram () =
   let h = Stats.histogram ~bins:2 [| 0.; 0.1; 0.9; 1. |] in
   Alcotest.(check int) "bins" 2 (Array.length h);
@@ -72,9 +63,9 @@ let prop_mean_bounds =
     QCheck.(list_of_size Gen.(int_range 1 50) (float_range (-1e6) 1e6))
     (fun xs ->
       let xs = Array.of_list xs in
-      let lo, hi = Stats.min_max xs in
+      let f = Stats.five_number xs in
       let m = Stats.mean xs in
-      m >= lo -. 1e-6 && m <= hi +. 1e-6)
+      m >= f.Stats.low -. 1e-6 && m <= f.Stats.high +. 1e-6)
 
 let prop_variance_nonneg =
   QCheck.Test.make ~name:"variance non-negative" ~count:200
@@ -88,7 +79,6 @@ let () =
         [
           Alcotest.test_case "mean" `Quick test_mean;
           Alcotest.test_case "variance" `Quick test_variance;
-          Alcotest.test_case "std" `Quick test_std;
           Alcotest.test_case "min_max" `Quick test_min_max;
           Alcotest.test_case "median odd" `Quick test_median_odd;
           Alcotest.test_case "median even" `Quick test_median_even;
@@ -96,8 +86,6 @@ let () =
           Alcotest.test_case "quantile interpolation" `Quick test_quantile_interpolation;
           Alcotest.test_case "quantile pure" `Quick test_quantile_does_not_mutate;
           Alcotest.test_case "five number summary" `Quick test_five_number;
-          Alcotest.test_case "rmse" `Quick test_rmse;
-          Alcotest.test_case "mean abs dev" `Quick test_mean_abs_dev;
           Alcotest.test_case "histogram" `Quick test_histogram;
         ] );
       ( "properties",

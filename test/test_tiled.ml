@@ -83,8 +83,19 @@ let test_squarest_grid () =
   check 7 1 7;
   check 384 16 24
 
+(* Lower-triangle tile count per rank — the load-balance measure. *)
+let tile_counts g ~ranks ~nt =
+  let counts = Array.make ranks 0 in
+  for i = 0 to nt - 1 do
+    for j = 0 to i do
+      let r = Layout.owner g ~i ~j in
+      counts.(r) <- counts.(r) + 1
+    done
+  done;
+  counts
+
 let test_owner_range () =
-  let g = Layout.make_grid ~p:2 ~q:3 in
+  let g = Layout.squarest_grid 6 in
   for i = 0 to 9 do
     for j = 0 to i do
       let o = Layout.owner g ~i ~j in
@@ -93,18 +104,14 @@ let test_owner_range () =
   done
 
 let test_local_tiles_partition () =
-  let g = Layout.make_grid ~p:2 ~q:2 in
+  let g = Layout.squarest_grid 4 in
   let nt = 7 in
-  let total =
-    List.fold_left
-      (fun acc r -> acc + List.length (Layout.local_tiles g ~rank:r ~nt))
-      0 [ 0; 1; 2; 3 ]
-  in
+  let total = Array.fold_left ( + ) 0 (tile_counts g ~ranks:4 ~nt) in
   Alcotest.(check int) "partition covers lower triangle" (nt * (nt + 1) / 2) total
 
 let test_tile_counts_balance () =
-  let g = Layout.make_grid ~p:4 ~q:4 in
-  let counts = Layout.tile_counts g ~nt:64 in
+  let g = Layout.squarest_grid 16 in
+  let counts = tile_counts g ~ranks:16 ~nt:64 in
   let lo = Array.fold_left min counts.(0) counts in
   let hi = Array.fold_left max counts.(0) counts in
   (* Block-cyclic keeps the imbalance small at nt ≫ p,q. *)
@@ -126,7 +133,7 @@ let prop_owner_consistent =
   QCheck.Test.make ~name:"owner deterministic and in range" ~count:100
     QCheck.(triple (int_range 1 6) (int_range 1 6) (pair (int_range 0 40) (int_range 0 40)))
     (fun (p, q, (i, j)) ->
-      let g = Layout.make_grid ~p ~q in
+      let g = Layout.squarest_grid (p * q) in
       let o = Layout.owner g ~i ~j in
       o >= 0 && o < p * q && o = Layout.owner g ~i ~j)
 

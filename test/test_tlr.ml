@@ -120,7 +120,7 @@ let test_aca_rejects_full_rank () =
 let test_recompress_reduces_rank () =
   let rng = Rng.create ~seed:7 in
   let d = rank_r_matrix rng 20 20 3 in
-  let lr = Lowrank.of_dense_exn ~tol:1e-12 ~max_rank:20 d in
+  let lr = Option.get (Lowrank.of_dense ~tol:1e-12 d) in
   (* Inflate the representation: A + A has rank 3 but representation 6. *)
   let doubled = Lowrank.add lr lr in
   Alcotest.(check int) "inflated rep" 6 (Lowrank.rank doubled);
@@ -134,8 +134,8 @@ let test_recompress_reduces_rank () =
 let test_add_subtract () =
   let rng = Rng.create ~seed:8 in
   let d1 = rank_r_matrix rng 12 10 2 and d2 = rank_r_matrix rng 12 10 2 in
-  let l1 = Lowrank.of_dense_exn ~tol:1e-12 ~max_rank:12 d1 in
-  let l2 = Lowrank.of_dense_exn ~tol:1e-12 ~max_rank:12 d2 in
+  let l1 = Option.get (Lowrank.of_dense ~tol:1e-12 d1) in
+  let l2 = Option.get (Lowrank.of_dense ~tol:1e-12 d2) in
   let diff = Lowrank.add ~scale:(-1.) l1 l2 in
   let expected = Mat.copy d1 in
   Mat.add_scaled expected ~alpha:(-1.) d2;
@@ -145,7 +145,7 @@ let test_add_subtract () =
 let test_matvec () =
   let rng = Rng.create ~seed:9 in
   let d = rank_r_matrix rng 15 11 4 in
-  let lr = Lowrank.of_dense_exn ~tol:1e-12 ~max_rank:15 d in
+  let lr = Option.get (Lowrank.of_dense ~tol:1e-12 d) in
   let x = Array.init 11 (fun i -> sin (float_of_int i)) in
   let y_lr = Lowrank.matvec lr x and y_d = Mat.matvec d x in
   Array.iteri
@@ -160,7 +160,7 @@ let test_matvec () =
 let test_memory_floats () =
   let rng = Rng.create ~seed:10 in
   let d = rank_r_matrix rng 30 20 2 in
-  let lr = Lowrank.of_dense_exn ~tol:1e-12 ~max_rank:10 d in
+  let lr = Option.get (Lowrank.of_dense ~tol:1e-12 d) in
   Alcotest.(check int) "(m+n)k" ((30 + 20) * Lowrank.rank lr) (Lowrank.memory_floats lr);
   Alcotest.(check bool) "beats dense" true (Lowrank.memory_floats lr < 30 * 20)
 
